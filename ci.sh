@@ -22,6 +22,11 @@ go test -run NONE -bench 'ScheduleCache|SegmentFanout|SingleDispatchPipelined' -
 go test -run NONE -bench 'Bcast|AllGather|Barrier' -benchtime 1x ./internal/rts
 go test -run NONE -bench 'DispatchAgreement' -benchtime 1x ./internal/poa
 
+# Fuzz lane: every pgiop decoder on arbitrary bytes for a fixed budget —
+# an error or a value, never a panic. (`go test ./...` above already replays
+# the committed seed corpus in internal/pgiop/testdata/fuzz.)
+go test ./internal/pgiop -run '^$' -fuzz FuzzDecodeFrame -fuzztime 10s
+
 # Fault lane: every fault-injection / deadline / recovery test under the
 # race detector (their whole point is timing races between sweeps, retries,
 # late replies, and peer death).

@@ -188,7 +188,6 @@ func faninRun(mode string, n int) FaninPoint {
 	if after, before := m1.HeapAlloc+m1.StackInuse, m0.HeapAlloc+m0.StackInuse; after > before {
 		perClient = float64(after-before) / float64(n)
 	}
-	conns := srvT.ConnCount()
 
 	// Warm round: touches the whole invoke path once per client so the
 	// timed phase measures the sustained rate, not first-use setup.
@@ -199,6 +198,10 @@ func faninRun(mode string, n int) FaninPoint {
 			}
 		}
 	})
+	// Counted only now: the server registers an inbound socket when its
+	// read loop has taken the hello, which a returned junk-frame Send does
+	// not wait for; a reply to every client proves every hello was read.
+	conns := srvT.ConnCount()
 
 	// Timed phase: every client keeps faninPipeline requests in flight on
 	// its channel; replies interleave freely on the shared sockets.

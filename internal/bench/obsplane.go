@@ -259,7 +259,7 @@ func runObsScrape(groups, members, iters int) ObsPoint {
 				Dispatches: uint64(1000*g + m), Sheds: uint64(m), Depth: m,
 				P50: 0.001, P95: 0.002 * float64(m+1), P99: 0.005 * float64(m+1),
 			}
-			if _, _, err := repo.Invoke(nil, "report_load_v2",
+			if _, _, err := repo.Invoke(nil, "report_load",
 				[]any{name, id, d.P95, int32(d.Depth), d.Encode()}); err != nil {
 				panic(err)
 			}

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // These tests assert the *shape* claims of the paper's figures — who wins,
 // by roughly what factor, where the anomalies sit — on the simulated
@@ -151,5 +154,13 @@ func TestDeterminism(t *testing.T) {
 	b := Figure4([]int{3})[0]
 	if a != b {
 		t.Fatalf("simulated experiment not deterministic: %+v vs %+v", a, b)
+	}
+	// The serve grid feeds measured replica load back into the registry's
+	// pick policy, so any wall-clock reading on that path shows up here.
+	first := FigureServe(true)
+	for run := 1; run < 3; run++ {
+		if again := FigureServe(true); !reflect.DeepEqual(first, again) {
+			t.Fatalf("serve figure not deterministic (run %d): %+v vs %+v", run, first, again)
+		}
 	}
 }

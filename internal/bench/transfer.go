@@ -208,7 +208,7 @@ func singleDispatchTime(clients, calls, workers int) float64 {
 		if err != nil {
 			panic(err)
 		}
-		p.SetDispatchWorkers(workers)
+		p.SetDispatchWorkers(workers, workers)
 		iorCh <- ior
 		p.ImplIsReady()
 	}()

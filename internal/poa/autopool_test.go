@@ -39,7 +39,7 @@ func TestAutoDispatchPoolGrowsAndShrinks(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.SetDispatchAuto(1, maxWorkers)
+		p.SetDispatchWorkers(1, maxWorkers)
 		if got := p.DispatchWorkers(); got != 1 {
 			t.Errorf("auto pool started with %d workers, want min=1", got)
 		}
@@ -63,7 +63,7 @@ func TestAutoDispatchPoolGrowsAndShrinks(t *testing.T) {
 			th.Sleep(p.PollInterval)
 		}
 		final.Store(int64(p.DispatchWorkers()))
-		p.SetDispatchWorkers(0)
+		p.SetDispatchWorkers(0, 0)
 	}()
 	ior := <-iorCh
 

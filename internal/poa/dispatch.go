@@ -224,6 +224,10 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 // does not grant.
 func (p *POA) serveSingle(e *entry, req *pgiop.Request, iov *[2][]byte, pooled bool) {
 	start := obs.NowNS()
+	var vstart float64
+	if p.virtual {
+		vstart = p.th.Elapsed()
+	}
 	poaDispatches.Inc()
 	var decodeSpan uint64
 	if req.TraceID != 0 && obs.DefaultTracer.Enabled() {
@@ -233,7 +237,11 @@ func (p *POA) serveSingle(e *entry, req *pgiop.Request, iov *[2][]byte, pooled b
 	end := obs.NowNS()
 	sec := float64(end-start) / 1e9
 	poaDispatchLatency.Observe(sec)
-	p.loadLat.Observe(sec)
+	if p.virtual {
+		p.loadLat.Observe(p.th.Elapsed() - vstart)
+	} else {
+		p.loadLat.Observe(sec)
+	}
 	poaSLO.Observe(req.Operation, sec, failed)
 	if decodeSpan != 0 {
 		obs.DefaultTracer.Record(obs.Span{

@@ -35,9 +35,12 @@ func faultyIface() *core.InterfaceDef {
 }
 
 type faultyServant struct {
-	mu      sync.Mutex
-	seen    []string
-	counter int32
+	mu   sync.Mutex
+	seen []string
+	// seq holds, per server rank, the counter values that rank's "seq"
+	// calls returned, in execution order. Every rank of an SPMD object runs
+	// every request, so each rank counts on its own.
+	seq map[int][]int32
 }
 
 func (f *faultyServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
@@ -54,9 +57,10 @@ func (f *faultyServant) Invoke(ctx *poa.Context, op string, in []any) (any, []an
 	case "slow":
 		return nil, nil, nil
 	case "seq":
+		rank := ctx.Thread.Rank()
 		f.mu.Lock()
-		f.counter++
-		v := f.counter
+		v := int32(len(f.seq[rank]) + 1)
+		f.seq[rank] = append(f.seq[rank], v)
 		f.mu.Unlock()
 		return v, nil, nil
 	}
@@ -65,7 +69,7 @@ func (f *faultyServant) Invoke(ctx *poa.Context, op string, in []any) (any, []an
 
 func startFaulty(t *testing.T, fab *nexus.Inproc, threads int) (core.IOR, *faultyServant, func()) {
 	t.Helper()
-	srv := &faultyServant{}
+	srv := &faultyServant{seq: make(map[int][]int32)}
 	iorCh := make(chan core.IOR, 1)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -145,10 +149,12 @@ func TestServantReturningWrongTypeIsException(t *testing.T) {
 func TestPerBindingOrderingGuarantee(t *testing.T) {
 	// The paper: "PARDIS guarantees that sequence of invocation is
 	// preserved for single and SPMD clients." Fire many non-blocking
-	// invocations and check the servant observed monotonically
-	// increasing counter values in reply order.
+	// invocations at a 2-rank SPMD object and check that the replies (rank
+	// 0's results) carry rank 0's counter increments in order, and that
+	// every rank ran every request in order.
+	const ranks = 2
 	fab := nexus.NewInproc()
-	ior, _, wait := startFaulty(t, fab, 2)
+	ior, srv, wait := startFaulty(t, fab, ranks)
 	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("c")), nil, nil)
 	b, _ := orb.SPMDBind(ior, faultyIface())
 	const k = 25
@@ -172,6 +178,17 @@ func TestPerBindingOrderingGuarantee(t *testing.T) {
 	}
 	b.Shutdown("done")
 	wait()
+	for r := 0; r < ranks; r++ {
+		got := srv.seq[r]
+		if len(got) != k {
+			t.Fatalf("rank %d ran %d seq calls, want %d", r, len(got), k)
+		}
+		for i, v := range got {
+			if v != int32(i+1) {
+				t.Fatalf("rank %d call %d saw counter %d — invocation order violated", r, i, v)
+			}
+		}
+	}
 }
 
 func TestCancelPendingRequest(t *testing.T) {

@@ -132,8 +132,12 @@ type POA struct {
 	// loadLat is the adapter's own single-object dispatch latency histogram
 	// — the per-replica load signal LoadReport exports, kept separate from
 	// the process-wide poa_dispatch_latency_seconds so co-hosted replicas
-	// report their own saturation, not each other's.
+	// report their own saturation, not each other's. On a simulated
+	// thread (virtual) it is timed on the thread's own clock: wall time
+	// there measures the simulator, not the modelled server, and would
+	// leak host scheduling noise into a simulated group's pick policy.
 	loadLat obs.Histogram
+	virtual bool
 
 	// ctx is the reusable invocation context handed to servants: it is
 	// valid only for the duration of one Invoke call (saved and restored
@@ -207,6 +211,7 @@ func New(th rts.Thread, r *core.Router, table *core.LocalTable) *POA {
 		segs:         map[segKey][]*pgiop.ArgStream{},
 		PollInterval: 200e-6,
 	}
+	_, p.virtual = th.(*rts.SimThread)
 	// Event-driven idle wakeup: on fabrics that can signal frame arrival,
 	// an idle poll loop parks on this channel instead of sleeping blind,
 	// so request latency under light load is arrival-bound rather than
@@ -414,10 +419,10 @@ func (p *POA) ProcessRequests() int {
 		count++
 		p.drain()
 	}
-	// The self-sizing pool is steered here — the owning-thread safe point
+	// The pool's width is steered here — the owning-thread safe point
 	// every dispatch round passes through — so resizing never races the
 	// enqueue path above.
-	if p.pool != nil && p.pool.auto {
+	if p.pool != nil {
 		p.pool.tune(p)
 	}
 	// Collective phase: thread 0 announces the completed SPMD

@@ -2,6 +2,7 @@ package poa_test
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +24,7 @@ func TestFullyDistributedTCPStack(t *testing.T) {
 		t.Skip("full TCP stack; skipped with -short")
 	}
 	const S, C, N = 3, 2, 5000
-	serverCoord := "127.0.0.1:39751"
-	clientCoord := "127.0.0.1:39761"
+	serverCoord, clientCoord := freeLocalAddr(t), freeLocalAddr(t)
 	iorCh := make(chan core.IOR, 1)
 	var wg sync.WaitGroup
 
@@ -57,7 +57,14 @@ func TestFullyDistributedTCPStack(t *testing.T) {
 			adapter.ImplIsReady()
 		}(r)
 	}
-	ior := <-iorCh
+	// A server rank that fails to start reports its error and exits; fail
+	// then rather than wait forever for an IOR that never comes.
+	var ior core.IOR
+	select {
+	case ior = <-iorCh:
+	case <-time.After(30 * time.Second):
+		t.Fatal("server rank 0 never published its IOR")
+	}
 
 	// --- Client program: C ranks over TCP RTS + TCP pgiop endpoints. ----
 	var cwg sync.WaitGroup
@@ -114,4 +121,18 @@ func TestFullyDistributedTCPStack(t *testing.T) {
 	}
 	cwg.Wait()
 	wg.Wait()
+}
+
+// freeLocalAddr returns a localhost address whose port the kernel has just
+// handed out and released, for a JoinTCP coordinator. A fixed port would
+// sit in the ephemeral range and could be taken by an outbound socket of a
+// test running in parallel.
+func freeLocalAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
 }

@@ -26,7 +26,7 @@ type member struct {
 	p95    float64
 	depth  int
 	at     float64 // repository-clock stamp of the last report
-	digest string  // raw metrics digest of the last report_load_v2 ("" = v1 reporter)
+	digest string  // raw metrics digest of the last report ("" = no report yet)
 }
 
 // group is one name's replica set.
@@ -135,9 +135,7 @@ func (r *Repository) reportLoadLocked(name, id string, p95 float64, depth int, d
 			m.p95 = p95
 			m.depth = depth
 			m.at = r.nowLocked()
-			if digest != "" {
-				m.digest = digest
-			}
+			m.digest = digest
 			groupLoadReports.Inc()
 			return true
 		}

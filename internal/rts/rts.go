@@ -29,18 +29,13 @@ type Tag uint32
 // ReservedBase is the first PARDIS-internal tag.
 const ReservedBase Tag = 0xF000_0000
 
-// Reserved internal tags.
+// Reserved internal tags. They sit below ReservedBase+0x100, where the
+// per-round collective tag blocks begin.
 const (
-	TagBarrier Tag = ReservedBase + iota // legacy flat-barrier tag (unused by the tree collectives)
-	TagBcast
-	TagGather
-	TagRequest  // ORB request headers delivered into the server's domain
-	TagArgument // distributed-argument segments
-	TagReply
-	TagDSeq  // distributed-sequence internal traffic (redistribution, At)
-	TagAbort // deadline-aware collectives: rank-attributed abort notice
-	TagPing  // deadline-aware collectives: liveness probe to a silent peer
-	TagPong  // deadline-aware collectives: liveness probe answer
+	TagDSeq  Tag = ReservedBase + iota // distributed-sequence internal traffic (redistribution, At)
+	TagAbort                           // deadline-aware collectives: rank-attributed abort notice
+	TagPing                            // deadline-aware collectives: liveness probe to a silent peer
+	TagPong                            // deadline-aware collectives: liveness probe answer
 )
 
 // Per-round collective tags. Every tree collective derives one tag per

@@ -2,16 +2,30 @@ package rts
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 )
 
+// freeLocalAddr returns a localhost address whose port the kernel has just
+// handed out and released, for a JoinTCP coordinator. A fixed port would
+// sit in the ephemeral range and could be taken by an outbound socket of a
+// test running in parallel.
+func freeLocalAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
 func TestTCPGroupBasics(t *testing.T) {
-	// A fixed localhost port for the coordinator (picked to avoid the
-	// ephemeral range); retried dials make startup order irrelevant.
+	// Retried dials make startup order irrelevant.
 	const n = 4
-	coord := "127.0.0.1:39731"
+	coord := freeLocalAddr(t)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for r := 0; r < n; r++ {
@@ -73,7 +87,7 @@ func pick[T any](cond bool, a, b T) T {
 
 func TestTCPGroupProbe(t *testing.T) {
 	const n = 2
-	coord := "127.0.0.1:39741"
+	coord := freeLocalAddr(t)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for r := 0; r < n; r++ {
