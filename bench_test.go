@@ -236,8 +236,9 @@ func BenchmarkSingleDispatchPipelined(b *testing.B) {
 	b.ReportMetric(pts[1].PerSec, "ops_4workers")
 }
 
-// orbPair wires a single-object echo server and a client over a fabric.
-func orbPair(b *testing.B, clientEP, serverEP nexus.Endpoint) (*core.Binding, func()) {
+// orbPair wires a single-object echo server and a client over a fabric;
+// a non-nil table registers the object for the co-located direct call.
+func orbPair(b *testing.B, clientEP, serverEP nexus.Endpoint, table *core.LocalTable) (*core.Binding, func()) {
 	b.Helper()
 	iface := &core.InterfaceDef{
 		Name: "echo",
@@ -255,7 +256,7 @@ func orbPair(b *testing.B, clientEP, serverEP nexus.Endpoint) (*core.Binding, fu
 	go func() {
 		defer wg.Done()
 		th := rts.NewChanGroup("srv", 1).Thread(0)
-		adapter := poa.New(th, core.NewRouter(serverEP), nil)
+		adapter := poa.New(th, core.NewRouter(serverEP), table)
 		adapter.PollInterval = 20e-6
 		ior, err := adapter.RegisterSingle("echo-1", iface, poa.ServantFunc(
 			func(_ *poa.Context, _ string, in []any) (any, []any, error) {
@@ -268,7 +269,7 @@ func orbPair(b *testing.B, clientEP, serverEP nexus.Endpoint) (*core.Binding, fu
 		iorCh <- ior
 		adapter.ImplIsReady()
 	}()
-	orb := core.NewORB(core.NewRouter(clientEP), nil, nil)
+	orb := core.NewORB(core.NewRouter(clientEP), nil, table)
 	bind, err := orb.Bind(<-iorCh, iface)
 	if err != nil {
 		b.Fatal(err)
@@ -300,7 +301,7 @@ func BenchmarkORBRoundTripInproc(b *testing.B) {
 	for _, payload := range []int{64, 65536} {
 		b.Run(fmt.Sprintf("payload%d", payload), func(b *testing.B) {
 			fab := nexus.NewInproc()
-			bind, stop := orbPair(b, fab.NewEndpoint("cli"), fab.NewEndpoint("srv"))
+			bind, stop := orbPair(b, fab.NewEndpoint("cli"), fab.NewEndpoint("srv"), nil)
 			defer stop()
 			benchRoundTrip(b, bind, payload)
 		})
@@ -319,7 +320,7 @@ func BenchmarkORBRoundTripTCP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bind, stop := orbPair(b, cep, sep)
+			bind, stop := orbPair(b, cep, sep, nil)
 			defer stop()
 			benchRoundTrip(b, bind, payload)
 		})
@@ -330,41 +331,8 @@ func BenchmarkORBRoundTripTCP(b *testing.B) {
 // the marshaled path (see BenchmarkORBRoundTripInproc for the contrast).
 func BenchmarkLocalBypass(b *testing.B) {
 	fab := nexus.NewInproc()
-	table := core.NewLocalTable()
-	iface := &core.InterfaceDef{
-		Name: "echo",
-		Ops: []core.Operation{{
-			Name: "echo",
-			Params: []core.Param{
-				core.NewParam("x", core.In, typecode.SequenceOf(typecode.TCOctet, 0)),
-				core.NewParam("y", core.Out, typecode.SequenceOf(typecode.TCOctet, 0)),
-			},
-		}},
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	iorCh := make(chan core.IOR, 1)
-	go func() {
-		defer wg.Done()
-		th := rts.NewChanGroup("srv", 1).Thread(0)
-		adapter := poa.New(th, core.NewRouter(fab.NewEndpoint("srv")), table)
-		adapter.PollInterval = 20e-6
-		ior, _ := adapter.RegisterSingle("echo-1", iface, poa.ServantFunc(
-			func(_ *poa.Context, _ string, in []any) (any, []any, error) {
-				return nil, []any{in[0]}, nil
-			}))
-		iorCh <- ior
-		adapter.ImplIsReady()
-	}()
-	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("cli")), nil, table)
-	bind, err := orb.Bind(<-iorCh, iface)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		bind.Shutdown("done")
-		wg.Wait()
-	}()
+	bind, stop := orbPair(b, fab.NewEndpoint("cli"), fab.NewEndpoint("srv"), core.NewLocalTable())
+	defer stop()
 	x := make([]byte, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

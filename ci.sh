@@ -8,6 +8,11 @@ go vet ./...
 go test ./...
 go test -race ./...
 
+# Benchmark lane: perfbench/ is a Go module of its own (it replaces pardis
+# with ../), so the root ./... above never compiles it; vet and test it
+# here so an internal API change cannot break the benchmark unnoticed.
+(cd perfbench && GOPROXY=off go vet . && GOPROXY=off go test -count=1 .)
+
 # Smoke-run the paper-figure harness and keep its JSON summary as a CI
 # artifact for regression diffing. The default figure set includes the
 # transfer-engine experiments (schedule cache, segment fan-out, pipelined

@@ -1,11 +1,11 @@
 // Command pardis-bench regenerates the measurements of the paper's
-// evaluation section (Figures 2, 4 and 5) and the ablation studies on the
-// simulated testbed, printing one table per experiment.
+// evaluation section (Figures 2, 4 and 5), the ablation studies and the
+// engine experiments, printing one table per experiment.
 //
 // Usage:
 //
-//	pardis-bench [-fig 2|4|5|ablations|stream|all] [-quick] [-json]
-//	             [-trace FILE] [-debug ADDR]
+//	pardis-bench [-fig 2|4|5|ablations|transfer|collectives|fanin|tuner|stream|serve|obs|all]
+//	             [-quick] [-json] [-trace FILE] [-debug ADDR]
 //
 // -quick trims the sweeps for a fast smoke run. -json replaces the tables
 // with one JSON document summarizing every experiment point, for CI
@@ -13,9 +13,14 @@
 // whole run and writes a Chrome trace-event JSON (chrome://tracing,
 // Perfetto) to FILE on exit. -debug serves the live introspection endpoint
 // (/metrics, /debug/vars, /debug/trace — see DESIGN.md §11) on ADDR for
-// the duration of the run. Results are deterministic: the experiments run
-// the full PARDIS stack on a virtual clock over the modeled 1997 machines
-// (see DESIGN.md §4 for the substitutions).
+// the duration of the run.
+//
+// Figures 2, 4 and 5 and the ablations, collectives, tuner and serve
+// experiments run the full PARDIS stack on a virtual clock over the
+// modeled 1997 machines (see DESIGN.md §4 for the substitutions), so their
+// results are deterministic. The transfer, fanin, stream and obs
+// experiments run on real goroutines and the wall clock; their numbers
+// vary with host load.
 package main
 
 import (

@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 
-	"pardis/internal/apps"
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/poa"
-	"pardis/internal/rts"
 	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
@@ -42,22 +40,18 @@ func scalerTransferTime(n, clientProcs, serverProcs int, funnel bool) float64 {
 		y := dseq.NewByTC(ctx.Thread, x.DLayout(), typecode.TCDouble)
 		return nil, []any{y}, nil
 	})
-	iorCh := w.spmdServer("mover", "powerchallenge", serverProcs, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+	iorCh := w.spmdServer("mover", "powerchallenge", serverProcs, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("mover-1", iface, servant)
 	})
 
 	var elapsed vtime.Time
-	w.spmdClient("client", "onyx", clientProcs, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		ior := recvIOR(th, iorCh)
-		b, err := orb.SPMDBind(ior, iface)
-		if err != nil {
-			panic(err)
-		}
+	w.spawn(group{name: "client", ep: "client", host: "onyx", procs: clientProcs, orb: true}, func(r *rank) {
+		th := r.th
+		b := r.bind(readBoard[core.IOR](r, iorCh), iface)
 		x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 		y := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
 		th.Barrier()
-		start := st.Proc().Now()
+		start := r.p.Now()
 		if funnel {
 			// Funnel: gather on client thread 0, ship as one stream,
 			// receive concentrated, scatter back — the extra hops the
@@ -80,7 +74,7 @@ func scalerTransferTime(n, clientProcs, serverProcs int, funnel bool) float64 {
 		}
 		th.Barrier()
 		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
+			elapsed = r.p.Now() - start
 			if err := b.Shutdown("done"); err != nil {
 				panic(err)
 			}
@@ -122,25 +116,22 @@ func AblationLocalShortcut(n int) []AblationPoint {
 		servant := poa.ServantFunc(func(*poa.Context, string, []any) (any, []any, error) {
 			return nil, nil, nil
 		})
-		iorCh := w.spmdServer("sink", "powerchallenge", 2, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+		iorCh := w.spmdServer("sink", "powerchallenge", 2, func(adapter *poa.POA) (core.IOR, error) {
 			return adapter.RegisterSPMD("sink-1", iface, servant)
 		})
 		var elapsed vtime.Time
-		w.spmdClient("client", clientHost, 2, func(th rts.Thread, orb *core.ORB) {
-			st := th.(*rts.SimThread)
-			b, err := orb.SPMDBind(recvIOR(th, iorCh), iface)
-			if err != nil {
-				panic(err)
-			}
+		w.spawn(group{name: "client", ep: "client", host: clientHost, procs: 2, orb: true}, func(r *rank) {
+			th := r.th
+			b := r.bind(readBoard[core.IOR](r, iorCh), iface)
 			x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 			th.Barrier()
-			start := st.Proc().Now()
+			start := r.p.Now()
 			if _, err := b.Invoke("put", []any{x}); err != nil {
 				panic(err)
 			}
 			th.Barrier()
 			if th.Rank() == 0 {
-				elapsed = st.Proc().Now() - start
+				elapsed = r.p.Now() - start
 				if err := b.Shutdown("done"); err != nil {
 					panic(err)
 				}
@@ -158,171 +149,24 @@ func AblationLocalShortcut(n int) []AblationPoint {
 // AblationNonBlocking compares the §4.1 interaction run with non-blocking
 // overlap against fully blocking sequential invocations.
 func AblationNonBlocking(n int) []AblationPoint {
-	overlap := runFig2(n, fig2Config{
-		mode:       "distributed",
-		directHost: "onyx", directProcs: 4,
-		iterHost: "powerchallenge", iterProcs: 10,
-		clientHost: "onyx", clientProcs: 2,
-	})
-	blocking := runFig2Blocking(n)
+	blocking := distributedFig2
+	blocking.blocking = true
 	return []AblationPoint{
-		{"non-blocking-overlap", overlap},
-		{"blocking-sequential", blocking},
+		{"non-blocking-overlap", runFig2(n, distributedFig2)},
+		{"blocking-sequential", runFig2(n, blocking)},
 	}
-}
-
-// runFig2Blocking is the distributed Figure 2 configuration with both
-// invocations blocking (no overlap).
-func runFig2Blocking(n int) float64 {
-	w := newWorld()
-	w.connect("onyx", "powerchallenge", "atm")
-	directIface, iterIface := solverIfaces()
-	dIOR := w.spmdServer("direct", "onyx", 4, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("direct-1", directIface, solverServant{work: apps.DirectSolveWork})
-	})
-	iIOR := w.spmdServer("iterative", "powerchallenge", 10, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("itrt-1", iterIface, solverServant{work: func(n int) float64 {
-			return apps.JacobiWork(n, apps.DefaultJacobiIters(n))
-		}})
-	})
-	var elapsed vtime.Time
-	w.spmdClient("client", "onyx", 2, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		dBind, err := orb.SPMDBind(recvIOR(th, dIOR), directIface)
-		if err != nil {
-			panic(err)
-		}
-		iBind, err := orb.SPMDBind(recvIOR(th, iIOR), iterIface)
-		if err != nil {
-			panic(err)
-		}
-		rowTC := typecode.SequenceOf(typecode.TCDouble, 0)
-		a := dseq.New[any](th, n, dist.BlockTemplate(), dseq.AnyCodec{TC: rowTC})
-		for i := range a.Local() {
-			a.Local()[i] = make([]float64, n)
-		}
-		b := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
-		x1 := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
-		x2 := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
-		th.Barrier()
-		start := st.Proc().Now()
-		if _, err := iBind.Invoke("solve", []any{1e-6, a, b, x1}); err != nil {
-			panic(err)
-		}
-		if _, err := dBind.Invoke("solve", []any{a, b, x2}); err != nil {
-			panic(err)
-		}
-		th.Barrier()
-		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
-			if err := dBind.Shutdown("done"); err != nil {
-				panic(err)
-			}
-			if err := iBind.Shutdown("done"); err != nil {
-				panic(err)
-			}
-		}
-	})
-	w.run()
-	return elapsed.Seconds()
 }
 
 // AblationOneway compares the Figure 5 pipeline's non-blocking (but
 // two-way) show/gradient traffic against a protocol-level oneway variant —
 // the paper's §4.3 observation that its invocations "were not oneway".
 func AblationOneway(p int) []AblationPoint {
-	twoWay := runFig5(p, fig5Config{sendToGradient: true, sendToViz: true, chargeCompute: true})
-	oneway := runFig5Oneway(p)
+	oneway := fullFig5
+	oneway.oneway = true
 	return []AblationPoint{
-		{fmt.Sprintf("non-blocking-p%d", p), twoWay},
-		{fmt.Sprintf("oneway-p%d", p), oneway},
+		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, fullFig5)},
+		{fmt.Sprintf("oneway-p%d", p), runFig5(p, oneway)},
 	}
-}
-
-// runFig5Oneway is runFig5 with the pipeline operations declared oneway.
-func runFig5Oneway(p int) float64 {
-	w := newWorld()
-	w.connect("powerchallenge", "sp2", "ethernet")
-	w.connect("sp2", "indy", "ethernet")
-	field := typecode.DSequenceOf(typecode.TCDouble, fig5Grid*fig5Grid, "BLOCK", "BLOCK")
-	onewayIface := func(name, op string) *core.InterfaceDef {
-		return &core.InterfaceDef{
-			Name: name,
-			Ops: []core.Operation{{
-				Name:   op,
-				Oneway: true,
-				Params: []core.Param{core.NewParam("myfield", core.In, field)},
-			}},
-		}
-	}
-	vizIface := onewayIface("visualizer", "show")
-	gradIface := onewayIface("field_operations", "gradient")
-
-	vizDiffIOR := w.spmdServer("viz-diff", "powerchallenge", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
-	})
-	gradIOR := vtime.NewChan(w.sim, "grad-ior")
-	sp2 := w.tb.Host("sp2")
-	gg := rts.NewSimGroup(w.sim, sp2, p)
-	gg.Spawn("gradient", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("grad-%d", th.Rank()), st.Proc(), sp2))
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
-		servant := poa.ServantFunc(func(ctx *poa.Context, op string, in []any) (any, []any, error) {
-			ctx.Thread.Compute(apps.PerThread(apps.GradientWork(fig5Grid*fig5Grid), ctx.Thread.Size()))
-			return nil, nil, nil
-		})
-		ior, err := adapter.RegisterSPMD("gradient-1", gradIface, servant)
-		if err != nil {
-			panic(err)
-		}
-		if th.Rank() == 0 {
-			st.Proc().Send(gradIOR, ior, 0)
-		}
-		adapter.ImplIsReady()
-	})
-
-	var elapsed vtime.Time
-	w.spmdClient("diffusion", "powerchallenge", p, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		viz, err := orb.SPMDBind(recvIOR(th, vizDiffIOR), vizIface)
-		if err != nil {
-			panic(err)
-		}
-		grad, err := orb.SPMDBind(recvIOR(th, gradIOR), gradIface)
-		if err != nil {
-			panic(err)
-		}
-		f := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
-		th.Barrier()
-		start := st.Proc().Now()
-		for step := 1; step <= fig5Steps; step++ {
-			th.Compute(apps.PerThread(apps.DiffusionStepWork(fig5Grid*fig5Grid), th.Size()))
-			if _, err := viz.InvokeNB("show", []any{f}); err != nil {
-				panic(err)
-			}
-			if step%fig5Every == 0 {
-				if _, err := grad.InvokeNB("gradient", []any{f}); err != nil {
-					panic(err)
-				}
-			}
-		}
-		// Oneway: nothing to wait for; the client's time is pure
-		// compute + send occupancy.
-		th.Barrier()
-		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
-			if err := grad.Shutdown("done"); err != nil {
-				panic(err)
-			}
-			if err := viz.Shutdown("done"); err != nil {
-				panic(err)
-			}
-		}
-	})
-	w.run()
-	return elapsed.Seconds()
 }
 
 // AblationRedistribution measures redistribution costs between templates on
@@ -330,18 +174,16 @@ func runFig5Oneway(p int) float64 {
 func AblationRedistribution(n int) []AblationPoint {
 	run := func(from, to dist.Template, label string) AblationPoint {
 		w := newWorld()
-		host := w.tb.Host("powerchallenge")
-		g := rts.NewSimGroup(w.sim, host, 8)
 		var elapsed vtime.Time
-		g.Spawn("redist", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
+		w.spawn(group{name: "redist", host: "powerchallenge", procs: 8}, func(r *rank) {
+			th := r.th
 			s := dseq.New[float64](th, n, from, dseq.Float64Codec{})
 			th.Barrier()
-			start := st.Proc().Now()
+			start := r.p.Now()
 			s.Redistribute(to)
 			th.Barrier()
 			if th.Rank() == 0 {
-				elapsed = st.Proc().Now() - start
+				elapsed = r.p.Now() - start
 			}
 		})
 		w.run()
@@ -353,5 +195,21 @@ func AblationRedistribution(n int) []AblationPoint {
 		run(dist.BlockTemplate(), dist.CollapsedOn(0), "block->collapsed"),
 		run(dist.CollapsedOn(0), dist.BlockTemplate(), "collapsed->block"),
 		run(dist.BlockTemplate(), dist.Proportions(8, 4, 2, 1, 1, 2, 4, 8), "block->weighted"),
+	}
+}
+
+// AblationCommThreads implements the experiment the paper's §6 proposes as
+// future work: "using communication threads (additional to the computing
+// threads) as sending and receiving processes between parallel applications
+// ... might alleviate such problems as pipeline congestion". It reruns the
+// Figure 5 pipeline with the computing threads' sends delegated to
+// dedicated communication processes, so a non-blocking invocation no longer
+// occupies the sender for the frame's wire time.
+func AblationCommThreads(p int) []AblationPoint {
+	multi := fullFig5
+	multi.commThreads = true
+	return []AblationPoint{
+		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, fullFig5)},
+		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, multi)},
 	}
 }

@@ -4,19 +4,29 @@
 // parallel server) and Figure 5 (the POOMA/PSTL pipeline), plus ablation
 // experiments for the design choices DESIGN.md calls out.
 //
-// Every experiment runs the full PARDIS stack — IDL-defined operation
-// tables, the ORB's request protocol, distributed argument segments, POA
-// dispatch — on the vtime virtual clock over the simnet machine models, so
+// Figures 2, 4 and 5 and the ablations, collectives, tuner and serve
+// experiments run the full PARDIS stack — IDL-defined operation tables,
+// the ORB's request protocol, distributed argument segments, POA dispatch
+// — on the vtime virtual clock over the simnet machine models, so their
 // results are deterministic functions of the model. Absolute numbers are
 // therefore comparable in *shape* (who wins, by what factor, where curves
-// cross), not in microseconds, with the 1997 testbed.
+// cross), not in microseconds, with the 1997 testbed. The transfer, fanin,
+// stream and obs experiments instead measure the engine itself on real
+// goroutines and the wall clock, so their numbers vary with host load.
+//
+// Every program is launched through one harness: world.spawn builds a
+// virtual-clock group with each rank's endpoint, router and optional POA
+// and ORB, and startServer starts a wall-clock server and returns its IOR
+// with a stop func.
 package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"pardis/internal/core"
 	"pardis/internal/nexus"
+	"pardis/internal/pgiop"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
 	"pardis/internal/simnet"
@@ -32,8 +42,7 @@ type world struct {
 
 func newWorld() *world {
 	sim := vtime.NewSim()
-	w := &world{sim: sim, fab: nexus.NewSimFabric(sim), tb: simnet.PaperTestbed()}
-	return w
+	return &world{sim: sim, fab: nexus.NewSimFabric(sim), tb: simnet.PaperTestbed()}
 }
 
 // connect routes two hosts over a named testbed link.
@@ -41,44 +50,79 @@ func (w *world) connect(hostA, hostB, link string) {
 	w.fab.Connect(hostA, hostB, w.tb.Link(link))
 }
 
-// spmdServer launches an SPMD server program of p threads on host; setup
-// runs on every thread after POA creation and returns the servant
-// registrations it performed. Thread 0's setup result IOR is delivered on
-// the returned channel once all threads are polling.
-type serverSetup func(th rts.Thread, adapter *poa.POA) (core.IOR, error)
+// group describes one program launched on the virtual clock: procs threads
+// on a testbed host, each with its own endpoint and router, plus the POA
+// and ORB the program asks for (sharing that router, so a server can also
+// be a client).
+type group struct {
+	name  string
+	host  string
+	procs int
+	// ep names each thread's endpoint "<ep>-<rank>"; empty names the
+	// endpoint after the program itself. Endpoint names are part of the
+	// model: they travel in every request as reply addresses.
+	ep    string
+	async bool                 // §6 communication-thread endpoint
+	fault *nexus.FaultInjector // non-nil: endpoint wrapped for fault injection
+	orb   bool
+	poa   bool
+}
 
-func (w *world) spmdServer(name, host string, p int, setup serverSetup) *vtime.Chan {
+// rank is one launched thread with the stack its group asked for.
+type rank struct {
+	th     rts.Thread
+	p      *vtime.Proc // the thread's simulated process: clock and bulletin boards
+	router *core.Router
+	orb    *core.ORB
+	poa    *poa.POA
+}
+
+// spawn launches g; body runs on every thread.
+func (w *world) spawn(g group, body func(r *rank)) {
+	h := w.tb.Host(g.host)
+	rts.NewSimGroup(w.sim, h, g.procs).Spawn(g.name, func(th rts.Thread) {
+		p := th.(*rts.SimThread).Proc()
+		name := g.name
+		if g.ep != "" {
+			name = fmt.Sprintf("%s-%d", g.ep, th.Rank())
+		}
+		var ep nexus.Endpoint
+		if g.async {
+			ep = nexus.NewAsyncSimEndpoint(w.fab, name, p, h)
+		} else {
+			ep = w.fab.NewEndpoint(name, p, h)
+		}
+		if g.fault != nil {
+			ep = g.fault.Wrap(ep)
+		}
+		r := &rank{th: th, p: p, router: core.NewRouter(ep)}
+		if g.orb {
+			r.orb = core.NewORB(r.router, th, nil)
+		}
+		if g.poa {
+			r.poa = poa.New(th, r.router, nil)
+			r.poa.PollInterval = 2e-3
+		}
+		body(r)
+	})
+}
+
+// spmdServer launches a p-thread server program on host whose threads
+// register their servant through setup; thread 0 publishes the IOR on the
+// returned bulletin board, then every thread serves.
+func (w *world) spmdServer(name, host string, p int, setup func(adapter *poa.POA) (core.IOR, error)) *vtime.Chan {
 	iorCh := vtime.NewChan(w.sim, name+"-ior")
-	h := w.tb.Host(host)
-	g := rts.NewSimGroup(w.sim, h, p)
-	g.Spawn(name, func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank()), st.Proc(), h))
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
-		ior, err := setup(th, adapter)
+	w.spawn(group{name: name, ep: name, host: host, procs: p, poa: true}, func(r *rank) {
+		ior, err := setup(r.poa)
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", name, err))
 		}
-		if th.Rank() == 0 {
-			st.Proc().Send(iorCh, ior, 0)
+		if r.th.Rank() == 0 {
+			r.post(iorCh, ior)
 		}
-		adapter.ImplIsReady()
+		r.poa.ImplIsReady()
 	})
 	return iorCh
-}
-
-// spmdClient launches a parallel client program; body runs on each thread
-// with its ORB.
-func (w *world) spmdClient(name, host string, p int, body func(th rts.Thread, orb *core.ORB)) {
-	h := w.tb.Host(host)
-	g := rts.NewSimGroup(w.sim, h, p)
-	g.Spawn(name, func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank()), st.Proc(), h))
-		orb := core.NewORB(router, th, nil)
-		body(th, orb)
-	})
 }
 
 // run executes the simulation, returning the final virtual time.
@@ -90,18 +134,58 @@ func (w *world) run() vtime.Time {
 	return final
 }
 
-// recvIOR receives an IOR published by spmdServer from a client thread,
-// putting it back for sibling threads (the channel acts as a bulletin
-// board).
-func recvIOR(th rts.Thread, ch *vtime.Chan) core.IOR {
-	st := th.(*rts.SimThread)
-	v := st.Proc().Recv(ch)
-	st.Proc().Send(ch, v, 0)
-	return v.(core.IOR)
+// post publishes v on a bulletin board: a vtime channel every reader puts
+// the value back on.
+func (r *rank) post(board *vtime.Chan, v any) { r.p.Send(board, v, 0) }
+
+// readBoard reads the value published on board and puts it back, so any
+// number of procs can read it.
+func readBoard[T any](r *rank, board *vtime.Chan) T {
+	v := r.p.Recv(board)
+	r.p.Send(board, v, 0)
+	return v.(T)
 }
 
-// newAsyncEP builds a communication-thread-backed endpoint for a simulated
-// computing thread (the §6 future-work transport).
-func newAsyncEP(w *world, name string, st *rts.SimThread, host string) nexus.Endpoint {
-	return nexus.NewAsyncSimEndpoint(w.fab, name, st.Proc(), w.tb.Host(host))
+// bind collectively binds the rank's ORB to ior.
+func (r *rank) bind(ior core.IOR, iface *core.InterfaceDef) *core.Binding {
+	b, err := r.orb.SPMDBind(ior, iface)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// startServer launches a ranks-thread server program on real goroutines for
+// the wall-clock experiments: each rank's POA sits on an endpoint from newEP
+// and polls every poll seconds, and setup tunes it and registers the
+// servant. It returns rank 0's IOR once registered, and a stop func that
+// sends the object's shutdown from stopEP and waits for every rank to leave.
+func startServer(ranks int, poll float64, newEP func() nexus.Endpoint, stopEP nexus.Endpoint,
+	setup func(adapter *poa.POA) (core.IOR, error)) (core.IOR, func()) {
+	iorCh := make(chan core.IOR, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rts.NewChanGroup("bench-server", ranks).Run(func(th rts.Thread) {
+			adapter := poa.New(th, core.NewRouter(newEP()), nil)
+			adapter.PollInterval = poll
+			ior, err := setup(adapter)
+			if err != nil {
+				panic(err)
+			}
+			if th.Rank() == 0 {
+				iorCh <- ior
+			}
+			adapter.ImplIsReady()
+		})
+	}()
+	ior := <-iorCh
+	return ior, func() {
+		if err := stopEP.Send(nexus.Addr(ior.Addrs[0]), pgiop.EncodeShutdown(&pgiop.Shutdown{Reason: "bench done"})); err != nil {
+			panic(err)
+		}
+		wg.Wait()
+		stopEP.Close()
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"pardis/internal/future"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
-	"pardis/internal/rts"
 	"pardis/internal/typecode"
 )
 
@@ -73,39 +72,21 @@ func (faninServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, e
 	return in[0].(int32) + 1, nil, nil
 }
 
-// faninServer starts the 4-rank SPMD server. All four ranks' ORB endpoints
-// are channels of one shared TCP transport — the server side of the fan-in
-// holds one listener regardless of rank count.
-func faninServer() (core.IOR, *nexus.TCPTransport, func()) {
-	const ranks = 4
+func faninRun(mode string, n int) FaninPoint {
+	// The 4-rank SPMD server: all four ranks' ORB endpoints are channels of
+	// one shared TCP transport — the server side of the fan-in holds one
+	// listener regardless of rank count.
 	srvT, err := nexus.NewTCPTransport("")
 	if err != nil {
 		panic(err)
 	}
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rts.NewChanGroup("fanin-srv", ranks).Run(func(th rts.Thread) {
-			p := poa.New(th, core.NewRouter(srvT.NewChannel()), nil)
-			p.PollInterval = 50e-6
-			ior, err := p.RegisterSPMD("fanin-1", faninIface(), faninServant{})
-			if err != nil {
-				panic(err)
-			}
-			if th.Rank() == 0 {
-				iorCh <- ior
-			}
-			p.ImplIsReady()
-		})
-	}()
-	ior := <-iorCh
-	return ior, srvT, wg.Wait
-}
-
-func faninRun(mode string, n int) FaninPoint {
-	ior, srvT, stop := faninServer()
+	stopEP, err := nexus.NewTCPEndpoint("")
+	if err != nil {
+		panic(err)
+	}
+	ior, stop := startServer(4, 50e-6, srvT.NewChannel, stopEP, func(p *poa.POA) (core.IOR, error) {
+		return p.RegisterSPMD("fanin-1", faninIface(), faninServant{})
+	})
 
 	workers := faninWorkers
 	if n < workers {
@@ -225,9 +206,6 @@ func faninRun(mode string, n int) FaninPoint {
 	})
 	elapsed := time.Since(start).Seconds()
 
-	if err := bindings[0].Shutdown("fanin done"); err != nil {
-		panic(err)
-	}
 	stop()
 	eachWorker(func(w, lo, hi int) {
 		if mode == "mux" {

@@ -7,8 +7,8 @@ import (
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
+	"pardis/internal/future"
 	"pardis/internal/poa"
-	"pardis/internal/rts"
 	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
@@ -85,14 +85,25 @@ func (s solverServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any
 	return nil, []any{x}, nil
 }
 
-// fig2Config places the two solver servers.
+// fig2Config places the two solver servers and picks the client's calls.
 type fig2Config struct {
 	directHost, iterHost     string
 	directProcs, iterProcs   int
 	clientHost               string
 	clientProcs              int
 	skipDirect, skipIterComp bool // run only one component (component curves)
-	mode                     string
+	// blocking is the fully sequential baseline: the iterative solve
+	// completes before the direct one starts, and no difference is
+	// computed.
+	blocking bool
+}
+
+// distributedFig2 is the Figure 2 placement the distributed curve and the
+// non-blocking ablation run: direct on HOST 1, iterative on HOST 2.
+var distributedFig2 = fig2Config{
+	directHost: "onyx", directProcs: 4,
+	iterHost: "powerchallenge", iterProcs: 10,
+	clientHost: "onyx", clientProcs: 2,
 }
 
 // runFig2 runs one Figure 2 configuration for problem size n and returns
@@ -102,28 +113,22 @@ func runFig2(n int, cfg fig2Config) float64 {
 	w.connect("onyx", "powerchallenge", "atm")
 
 	directIface, iterIface := solverIfaces()
-	dIOR := w.spmdServer("direct", cfg.directHost, cfg.directProcs, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+	dIOR := w.spmdServer("direct", cfg.directHost, cfg.directProcs, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("direct-1", directIface, solverServant{work: apps.DirectSolveWork})
 	})
-	iIOR := w.spmdServer("iterative", cfg.iterHost, cfg.iterProcs, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+	iIOR := w.spmdServer("iterative", cfg.iterHost, cfg.iterProcs, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("itrt-1", iterIface, solverServant{work: func(n int) float64 {
 			return apps.JacobiWork(n, apps.DefaultJacobiIters(n))
 		}})
 	})
 
 	var elapsed vtime.Time
-	w.spmdClient("client", cfg.clientHost, cfg.clientProcs, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		dRef := recvIOR(th, dIOR)
-		iRef := recvIOR(th, iIOR)
-		dBind, err := orb.SPMDBind(dRef, directIface)
-		if err != nil {
-			panic(err)
-		}
-		iBind, err := orb.SPMDBind(iRef, iterIface)
-		if err != nil {
-			panic(err)
-		}
+	w.spawn(group{name: "client", ep: "client", host: cfg.clientHost, procs: cfg.clientProcs, orb: true}, func(r *rank) {
+		th := r.th
+		dRef := readBoard[core.IOR](r, dIOR)
+		iRef := readBoard[core.IOR](r, iIOR)
+		dBind := r.bind(dRef, directIface)
+		iBind := r.bind(iRef, iterIface)
 
 		// Build the system: a dsequence of dynamically-sized rows plus
 		// the right-hand side, block-distributed over the client threads.
@@ -137,18 +142,24 @@ func runFig2(n int, cfg fig2Config) float64 {
 		x2 := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
-		start := st.Proc().Now()
+		start := r.p.Now()
 
 		// The paper's listing: non-blocking solve on the iterative
 		// server overlapped with a blocking solve on the direct server,
 		// then the future is read.
-		var cell interface{ Wait() error }
+		var cell *future.Cell
 		if !cfg.skipIterComp {
-			c, err := iBind.InvokeNB("solve", []any{1e-6, a, b, x1})
+			var err error
+			cell, err = iBind.InvokeNB("solve", []any{1e-6, a, b, x1})
 			if err != nil {
 				panic(err)
 			}
-			cell = c
+			if cfg.blocking {
+				if err := cell.Wait(); err != nil {
+					panic(err)
+				}
+				cell = nil
+			}
 		}
 		if !cfg.skipDirect {
 			if _, err := dBind.Invoke("solve", []any{a, b, x2}); err != nil {
@@ -160,11 +171,13 @@ func runFig2(n int, cfg fig2Config) float64 {
 				panic(err)
 			}
 		}
-		// compute_difference over the local portions.
-		th.Compute(apps.PerThread(float64(n)*1e-6, th.Size()))
+		if !cfg.blocking {
+			// compute_difference over the local portions.
+			th.Compute(apps.PerThread(float64(n)*1e-6, th.Size()))
+		}
 		th.Barrier()
 		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
+			elapsed = r.p.Now() - start
 			if err := dBind.Shutdown("done"); err != nil {
 				panic(err)
 			}
@@ -188,32 +201,14 @@ func Figure2(sizes []int) []Fig2Point {
 	var out []Fig2Point
 	for _, n := range sizes {
 		p := Fig2Point{N: n}
-		p.Direct = runFig2(n, fig2Config{
-			mode:       "direct-only",
-			directHost: "onyx", directProcs: 4,
-			iterHost: "powerchallenge", iterProcs: 10,
-			clientHost: "onyx", clientProcs: 2,
-			skipIterComp: true,
-		})
-		p.Iterative = runFig2(n, fig2Config{
-			mode:       "iterative-only",
-			directHost: "onyx", directProcs: 4,
-			iterHost: "powerchallenge", iterProcs: 10,
-			clientHost: "onyx", clientProcs: 2,
-			skipDirect: true,
-		})
-		p.Distributed = runFig2(n, fig2Config{
-			mode:       "distributed",
-			directHost: "onyx", directProcs: 4,
-			iterHost: "powerchallenge", iterProcs: 10,
-			clientHost: "onyx", clientProcs: 2,
-		})
-		p.SameServer = runFig2(n, fig2Config{
-			mode:       "same-server",
-			directHost: "onyx", directProcs: 2,
-			iterHost: "onyx", iterProcs: 2,
-			clientHost: "onyx", clientProcs: 2,
-		})
+		directOnly, iterOnly, same := distributedFig2, distributedFig2, distributedFig2
+		directOnly.skipIterComp = true
+		iterOnly.skipDirect = true
+		same.directProcs, same.iterHost, same.iterProcs = 2, "onyx", 2
+		p.Direct = runFig2(n, directOnly)
+		p.Iterative = runFig2(n, iterOnly)
+		p.Distributed = runFig2(n, distributedFig2)
+		p.SameServer = runFig2(n, same)
 		out = append(out, p)
 	}
 	return out

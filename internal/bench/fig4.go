@@ -95,13 +95,8 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 	iorCh := vtime.NewChan(w.sim, "fig4-iors")
 	const tagIOR = rts.Tag(0x4000)
 
-	host := w.tb.Host("powerchallenge")
-	g := rts.NewSimGroup(w.sim, host, p)
-	g.Spawn("dna-server", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("dna-%d", th.Rank()), st.Proc(), host))
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
+	w.spawn(group{name: "dna-server", ep: "dna", host: "powerchallenge", procs: p, poa: true}, func(r *rank) {
+		th, adapter := r.th, r.poa
 		dbIOR, err := adapter.RegisterSPMD("dna-db", dbIface, dnaSearchServant{rounds: 10})
 		if err != nil {
 			panic(err)
@@ -128,28 +123,28 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 				}
 				out.lists[k] = ior
 			}
-			st.Proc().Send(iorCh, out, 0)
+			r.post(iorCh, out)
 		}
 		adapter.ImplIsReady()
 	})
 
 	var elapsed vtime.Time
-	w.spmdClient("client", "onyx", 1, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		r := st.Proc().Recv(iorCh).(refs)
-		dbBind, err := orb.SPMDBind(r.db, dbIface)
+	w.spawn(group{name: "client", ep: "client", host: "onyx", procs: 1, orb: true}, func(r *rank) {
+		orb := r.orb
+		pub := readBoard[refs](r, iorCh)
+		dbBind, err := orb.SPMDBind(pub.db, dbIface)
 		if err != nil {
 			panic(err)
 		}
 		var lists [apps.NumDerivatives]*core.Binding
 		for k := apps.Exact; k < apps.NumDerivatives; k++ {
-			lists[k], err = orb.Bind(r.lists[k], listIface)
+			lists[k], err = orb.Bind(pub.lists[k], listIface)
 			if err != nil {
 				panic(err)
 			}
 		}
 
-		start := st.Proc().Now()
+		start := r.p.Now()
 		// stat = dna_database->search_nb(...)
 		stat, err := dbBind.InvokeNB("search", []any{"ACGT"})
 		if err != nil {
@@ -175,7 +170,7 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 		if err := stat.Wait(); err != nil {
 			panic(err)
 		}
-		elapsed = st.Proc().Now() - start
+		elapsed = r.p.Now() - start
 		if err := dbBind.Shutdown("done"); err != nil {
 			panic(err)
 		}

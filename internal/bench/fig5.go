@@ -9,7 +9,6 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/future"
 	"pardis/internal/poa"
-	"pardis/internal/rts"
 	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
@@ -35,23 +34,21 @@ const (
 	fig5Every = 5
 )
 
-func pipelineIfaces() (viz, gradOps *core.InterfaceDef) {
+// pipelineIfaces returns the visualizer and gradient interfaces, their
+// operations declared oneway when asked.
+func pipelineIfaces(oneway bool) (viz, gradOps *core.InterfaceDef) {
 	field := typecode.DSequenceOf(typecode.TCDouble, fig5Grid*fig5Grid, "BLOCK", "BLOCK")
-	viz = &core.InterfaceDef{
-		Name: "visualizer",
-		Ops: []core.Operation{{
-			Name:   "show",
-			Params: []core.Param{core.NewParam("myfield", core.In, field)},
-		}},
+	iface := func(name, op string) *core.InterfaceDef {
+		return &core.InterfaceDef{
+			Name: name,
+			Ops: []core.Operation{{
+				Name:   op,
+				Oneway: oneway,
+				Params: []core.Param{core.NewParam("myfield", core.In, field)},
+			}},
+		}
 	}
-	gradOps = &core.InterfaceDef{
-		Name: "field_operations",
-		Ops: []core.Operation{{
-			Name:   "gradient",
-			Params: []core.Param{core.NewParam("myfield", core.In, field)},
-		}},
-	}
-	return viz, gradOps
+	return iface("visualizer", "show"), iface("field_operations", "gradient")
 }
 
 // vizServant consumes frames at a fixed per-frame cost.
@@ -65,14 +62,14 @@ func (vizServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, err
 	return nil, nil, nil
 }
 
-// gradServant charges the gradient cost and pipelines the result to its
-// own visualizer — the server-as-client role of §4.3.
+// gradServant charges the gradient cost and, given a visualizer board,
+// pipelines the result to its own visualizer — the server-as-client role of
+// §4.3.
 type gradServant struct {
-	vizIORCh *vtime.Chan
+	r        *rank
+	vizBoard *vtime.Chan // nil: no visualizer of its own
 	vizIface *core.InterfaceDef
-	orb      *core.ORB
 	viz      *core.Binding
-	lastShow *future.Cell
 }
 
 func (g *gradServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
@@ -80,123 +77,148 @@ func (g *gradServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any,
 		return nil, nil, fmt.Errorf("no operation %s", op)
 	}
 	th := ctx.Thread
-	if g.viz == nil {
-		ior := recvIOR(th, g.vizIORCh)
-		b, err := g.orb.SPMDBind(ior, g.vizIface)
-		if err != nil {
-			return nil, nil, err
-		}
-		g.viz = b
+	work := apps.PerThread(apps.GradientWork(fig5Grid*fig5Grid), th.Size())
+	if g.vizBoard == nil {
+		th.Compute(work)
+		return nil, nil, nil
 	}
-	in0 := in[0].(dseq.Distributed)
-	th.Compute(apps.PerThread(apps.GradientWork(fig5Grid*fig5Grid), th.Size()))
-	out := dseq.NewFromLayout[float64](th, in0.DLayout(), dseq.Float64Codec{})
-	cell, err := g.viz.InvokeNB("show", []any{out})
-	if err != nil {
+	g.bindViz()
+	th.Compute(work)
+	out := dseq.NewFromLayout[float64](th, in[0].(dseq.Distributed).DLayout(), dseq.Float64Codec{})
+	if _, err := g.viz.InvokeNB("show", []any{out}); err != nil {
 		return nil, nil, err
 	}
-	g.lastShow = cell
 	return nil, nil, nil
 }
 
-// fig5Config selects which parts of the metaapplication run.
+func (g *gradServant) bindViz() {
+	if g.viz == nil {
+		g.viz = g.r.bind(readBoard[core.IOR](g.r, g.vizBoard), g.vizIface)
+	}
+}
+
+// fig5Config selects which parts of the metaapplication run, and how.
 type fig5Config struct {
 	sendToGradient bool // pipeline every 5th step to the gradient server
 	sendToViz      bool // pipeline every step to the diffusion visualizer
 	chargeCompute  bool // charge the diffusion stencil cost
+	// gradientOnly replaces the diffusion unit by a one-thread driver that
+	// only requests gradients, each completing before the next: the
+	// gradient component alone, with its visualizer traffic.
+	gradientOnly bool
+	// oneway declares show and gradient oneway (§4.3: the paper's
+	// invocations "were not oneway"): nothing to wait for, and the
+	// gradient server pipelines to no visualizer.
+	oneway bool
+	// commThreads gives the diffusion client and the gradient server §6
+	// communication-thread endpoints.
+	commThreads bool
 }
 
+// fullFig5 is the whole metaapplication: Figure 5's overall curve.
+var fullFig5 = fig5Config{sendToGradient: true, sendToViz: true, chargeCompute: true}
+
 // runFig5 runs the pipeline with p diffusion threads and p gradient
-// threads and returns the diffusion client's elapsed time in seconds.
+// threads and returns the driving client's elapsed time in seconds.
 func runFig5(p int, cfg fig5Config) float64 {
 	w := newWorld()
 	w.connect("powerchallenge", "sp2", "ethernet")
 	w.connect("sp2", "indy", "ethernet")
 
-	vizIface, gradIface := pipelineIfaces()
+	vizIface, gradIface := pipelineIfaces(cfg.oneway)
 
 	// Visualizer for the diffusion unit: a sequential process on the same
 	// SGI PC (loopback); for the gradient: on the SGI Indy over Ethernet.
-	vizDiffIOR := w.spmdServer("viz-diff", "powerchallenge", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
-	})
-	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
-	})
+	var vizDiffIOR, vizGradIOR *vtime.Chan
+	if !cfg.gradientOnly {
+		vizDiffIOR = w.spmdServer("viz-diff", "powerchallenge", 1, func(adapter *poa.POA) (core.IOR, error) {
+			return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
+		})
+	}
+	if !cfg.oneway {
+		vizGradIOR = w.spmdServer("viz-grad", "indy", 1, func(adapter *poa.POA) (core.IOR, error) {
+			return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
+		})
+	}
 
 	// The gradient server: SPMD on the SP/2, also a client of its
 	// visualizer (same endpoint, shared through the router).
 	gradIOR := vtime.NewChan(w.sim, "grad-ior")
-	sp2 := w.tb.Host("sp2")
-	gg := rts.NewSimGroup(w.sim, sp2, p)
-	gg.Spawn("gradient", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("grad-%d", th.Rank()), st.Proc(), sp2))
-		orb := core.NewORB(router, th, nil)
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
-		impl := &gradServant{vizIORCh: vizGradIOR, vizIface: vizIface, orb: orb}
-		ior, err := adapter.RegisterSPMD("gradient-1", gradIface, impl)
+	w.spawn(group{name: "gradient", ep: "grad", host: "sp2", procs: p, async: cfg.commThreads, orb: true, poa: true}, func(r *rank) {
+		impl := &gradServant{r: r, vizBoard: vizGradIOR, vizIface: vizIface}
+		ior, err := r.poa.RegisterSPMD("gradient-1", gradIface, impl)
 		if err != nil {
 			panic(err)
 		}
-		if th.Rank() == 0 {
-			st.Proc().Send(gradIOR, ior, 0)
+		if r.th.Rank() == 0 {
+			r.post(gradIOR, ior)
 		}
-		adapter.ImplIsReady()
+		r.poa.ImplIsReady()
 		// Deactivation is collective, so every thread leaves together;
 		// the gradient component then retires its own visualizer.
-		if impl.viz == nil {
-			ref := recvIOR(th, vizGradIOR)
-			b, err := orb.SPMDBind(ref, vizIface)
-			if err != nil {
-				panic(err)
-			}
-			impl.viz = b
-		}
-		if th.Rank() == 0 {
-			if err := impl.viz.Shutdown("done"); err != nil {
-				panic(err)
+		if vizGradIOR != nil {
+			impl.bindViz()
+			if r.th.Rank() == 0 {
+				if err := impl.viz.Shutdown("done"); err != nil {
+					panic(err)
+				}
 			}
 		}
 	})
 
-	// The diffusion unit: a POOMA-style parallel client on the SGI PC.
+	// The diffusion unit: a POOMA-style parallel client on the SGI PC (or
+	// the gradient-only driver in its place).
+	name, procs := "diffusion", p
+	if cfg.gradientOnly {
+		name, procs = "driver", 1
+	}
 	var elapsed vtime.Time
-	w.spmdClient("diffusion", "powerchallenge", p, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		vizRef := recvIOR(th, vizDiffIOR)
-		gradRef := recvIOR(th, gradIOR)
-		viz, err := orb.SPMDBind(vizRef, vizIface)
-		if err != nil {
-			panic(err)
+	w.spawn(group{name: name, ep: name, host: "powerchallenge", procs: procs, async: cfg.commThreads, orb: true}, func(r *rank) {
+		th := r.th
+		// Both references are read before either collective bind: when the
+		// binds run is part of the modeled timeline.
+		var vizRef core.IOR
+		if vizDiffIOR != nil {
+			vizRef = readBoard[core.IOR](r, vizDiffIOR)
 		}
-		grad, err := orb.SPMDBind(gradRef, gradIface)
-		if err != nil {
-			panic(err)
+		gradRef := readBoard[core.IOR](r, gradIOR)
+		var viz *core.Binding
+		if vizDiffIOR != nil {
+			viz = r.bind(vizRef, vizIface)
 		}
+		grad := r.bind(gradRef, gradIface)
 		field := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
-		start := st.Proc().Now()
+		start := r.p.Now()
+		// Wait policy: the gradient-only driver's calls complete one at a
+		// time, two-way calls are awaited together after the last step,
+		// and oneway calls leave nothing to wait for.
 		var pending []*future.Cell
+		invoke := func(b *core.Binding, op string) {
+			c, err := b.InvokeNB(op, []any{field})
+			if err != nil {
+				panic(err)
+			}
+			switch {
+			case cfg.gradientOnly:
+				err = c.Wait()
+			case !cfg.oneway:
+				pending = append(pending, c)
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
 		for step := 1; step <= fig5Steps; step++ {
 			if cfg.chargeCompute {
 				th.Compute(apps.PerThread(apps.DiffusionStepWork(fig5Grid*fig5Grid), th.Size()))
 			}
 			if cfg.sendToViz {
-				c, err := viz.InvokeNB("show", []any{field})
-				if err != nil {
-					panic(err)
-				}
-				pending = append(pending, c)
+				invoke(viz, "show")
 			}
 			if cfg.sendToGradient && step%fig5Every == 0 {
-				c, err := grad.InvokeNB("gradient", []any{field})
-				if err != nil {
-					panic(err)
-				}
-				pending = append(pending, c)
+				invoke(grad, "gradient")
 			}
 		}
 		for _, c := range pending {
@@ -206,87 +228,15 @@ func runFig5(p int, cfg fig5Config) float64 {
 		}
 		th.Barrier()
 		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
+			elapsed = r.p.Now() - start
 			if err := grad.Shutdown("done"); err != nil {
 				panic(err)
 			}
-			if err := viz.Shutdown("done"); err != nil {
-				panic(err)
+			if viz != nil {
+				if err := viz.Shutdown("done"); err != nil {
+					panic(err)
+				}
 			}
-		}
-	})
-	w.run()
-	return elapsed.Seconds()
-}
-
-// gradientComponentTime models the gradient component on its own: its
-// compute plus its visualizer traffic, without the diffusion driver.
-func gradientComponentTime(p int) float64 {
-	requests := fig5Steps / fig5Every
-	w := w5StandaloneGradient(p, requests)
-	return w
-}
-
-// w5StandaloneGradient measures the gradient server handling `requests`
-// back-to-back invocations from a minimal driver that doesn't compute.
-func w5StandaloneGradient(p, requests int) float64 {
-	w := newWorld()
-	w.connect("powerchallenge", "sp2", "ethernet")
-	w.connect("sp2", "indy", "ethernet")
-	vizIface, gradIface := pipelineIfaces()
-	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
-	})
-	gradIOR := vtime.NewChan(w.sim, "grad-ior")
-	sp2 := w.tb.Host("sp2")
-	gg := rts.NewSimGroup(w.sim, sp2, p)
-	gg.Spawn("gradient", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("grad-%d", th.Rank()), st.Proc(), sp2))
-		orb := core.NewORB(router, th, nil)
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
-		impl := &gradServant{vizIORCh: vizGradIOR, vizIface: vizIface, orb: orb}
-		ior, err := adapter.RegisterSPMD("gradient-1", gradIface, impl)
-		if err != nil {
-			panic(err)
-		}
-		if th.Rank() == 0 {
-			st.Proc().Send(gradIOR, ior, 0)
-		}
-		adapter.ImplIsReady()
-		if impl.viz == nil {
-			ref := recvIOR(th, vizGradIOR)
-			b, err := orb.SPMDBind(ref, vizIface)
-			if err != nil {
-				panic(err)
-			}
-			impl.viz = b
-		}
-		if th.Rank() == 0 {
-			if err := impl.viz.Shutdown("done"); err != nil {
-				panic(err)
-			}
-		}
-	})
-	var elapsed vtime.Time
-	w.spmdClient("driver", "powerchallenge", 1, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		ref := recvIOR(th, gradIOR)
-		grad, err := orb.SPMDBind(ref, gradIface)
-		if err != nil {
-			panic(err)
-		}
-		field := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
-		start := st.Proc().Now()
-		for r := 0; r < requests; r++ {
-			if _, err := grad.Invoke("gradient", []any{field}); err != nil {
-				panic(err)
-			}
-		}
-		elapsed = st.Proc().Now() - start
-		if err := grad.Shutdown("done"); err != nil {
-			panic(err)
 		}
 	})
 	w.run()
@@ -300,10 +250,10 @@ func Figure5(procs []int) []Fig5Point {
 	var out []Fig5Point
 	for _, p := range procs {
 		pt := Fig5Point{Procs: p}
-		pt.Overall = runFig5(p, fig5Config{sendToGradient: true, sendToViz: true, chargeCompute: true})
+		pt.Overall = runFig5(p, fullFig5)
 		// Diffusion component alone: compute + its local visualizer.
 		pt.Diffusion = runFig5(p, fig5Config{sendToViz: true, chargeCompute: true})
-		pt.Gradient = gradientComponentTime(p)
+		pt.Gradient = runFig5(p, fig5Config{sendToGradient: true, gradientOnly: true})
 		out = append(out, pt)
 	}
 	return out

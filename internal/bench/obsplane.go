@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pardis/internal/core"
@@ -13,7 +12,6 @@ import (
 	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
-	"pardis/internal/rts"
 	"pardis/internal/typecode"
 )
 
@@ -102,34 +100,12 @@ func (s obsServant) Invoke(_ *poa.Context, op string, in []any) (any, []any, err
 	return int32(0), nil, nil
 }
 
-// startObsServer runs the one-replica server of the obs cells on a
-// wall-clock in-process fabric.
-func startObsServer(fab *nexus.Inproc, slow time.Duration) (core.IOR, func()) {
-	g := rts.NewChanGroup("obs-server", 1)
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := g.Thread(0)
-		p := poa.New(th, core.NewRouter(fab.NewEndpoint("obs-server")), nil)
-		p.PollInterval = 20e-6
-		ior, err := p.RegisterSingle("obs-server", obsIface(), obsServant{slow: slow})
-		if err != nil {
-			panic(err)
-		}
-		iorCh <- ior
-		p.ImplIsReady()
-	}()
-	ior := <-iorCh
-	stop := func() {
-		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("obs-stopper")), nil, nil)
-		if b, err := orb.Bind(ior, obsIface()); err == nil {
-			b.Shutdown("obs done")
-		}
-		wg.Wait()
+// obsCall invokes one kind of work and panics unless the call fails exactly
+// when it was designated to.
+func obsCall(b *core.Binding, kind int32) {
+	if _, err := b.Invoke("work", []any{kind}); (err != nil) != (kind == obsWorkError) {
+		panic(fmt.Sprintf("bench: obs work kind %d: error %v", kind, err))
 	}
-	return ior, stop
 }
 
 // obsTracerOff restores the default tracer to its disabled ring state.
@@ -165,7 +141,7 @@ func runObsOverhead(b *core.Binding, mode string, frac float64, invocations int)
 		return obsWorkFast
 	}
 	for i := 0; i < 100; i++ { // warmup
-		b.Invoke("work", []any{kindFor(i)})
+		obsCall(b, kindFor(i))
 	}
 	// Best of three timed passes: the round trip is microseconds, so a
 	// single wall-clock pass is at the mercy of scheduler and GC noise;
@@ -174,7 +150,7 @@ func runObsOverhead(b *core.Binding, mode string, frac float64, invocations int)
 	for pass := 0; pass < 3; pass++ {
 		start := time.Now()
 		for i := 0; i < invocations; i++ {
-			b.Invoke("work", []any{kindFor(i)})
+			obsCall(b, kindFor(i))
 		}
 		if elapsed := time.Since(start); pass == 0 || elapsed < best {
 			best = elapsed
@@ -190,7 +166,7 @@ func runObsOverhead(b *core.Binding, mode string, frac float64, invocations int)
 // runObsRetention drives the mixed load with a seeded ≤5% interesting subset
 // through the recorder and scores the retention decision.
 func runObsRetention(b *core.Binding, invocations int, slowThreshold time.Duration) ObsPoint {
-	cfg := obs.RecorderConfig{FixedSlowNS: slowThreshold.Nanoseconds()}
+	cfg := obs.RecorderConfig{MaxTraces: 256, FixedSlowNS: slowThreshold.Nanoseconds()}
 	obs.DefaultTracer.Reset()
 	obs.DefaultTracer.EnableRecorder(cfg)
 	defer obsTracerOff()
@@ -205,7 +181,7 @@ func runObsRetention(b *core.Binding, invocations int, slowThreshold time.Durati
 		case r < 0.04:
 			kind, nSlow = obsWorkSlow, nSlow+1
 		}
-		b.Invoke("work", []any{kind})
+		obsCall(b, kind)
 	}
 	obs.DefaultTracer.Flush()
 
@@ -233,7 +209,7 @@ func runObsRetention(b *core.Binding, invocations int, slowThreshold time.Durati
 		Boring:         invocations - interesting,
 		BoringRetained: max(0, len(retained)-interesting),
 		RetainedCount:  len(retained),
-		RetainedBound:  256, // RecorderConfig default MaxTraces
+		RetainedBound:  cfg.MaxTraces,
 		Recycled:       obs.DefaultTracer.RecycledTotal(),
 	}
 	if interesting > 0 {
@@ -294,7 +270,10 @@ func FigureObs(quick bool) []ObsPoint {
 	const slowThreshold = 4 * time.Millisecond
 
 	fab := nexus.NewInproc()
-	ior, stop := startObsServer(fab, slowSleep)
+	ior, stop := startServer(1, 20e-6, func() nexus.Endpoint { return fab.NewEndpoint("obs-server") },
+		fab.NewEndpoint("obs-stopper"), func(p *poa.POA) (core.IOR, error) {
+			return p.RegisterSingle("obs-server", obsIface(), obsServant{slow: slowSleep})
+		})
 	defer stop()
 	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("obs-client")), nil, nil)
 	b, err := orb.Bind(ior, obsIface())

@@ -11,7 +11,6 @@ import (
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
-	"pardis/internal/rts"
 	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
@@ -141,14 +140,6 @@ type replicaInfo struct {
 	adapter *poa.POA
 }
 
-// bulletin reads a value from a vtime channel and puts it back, so any
-// number of procs can read the same published value.
-func bulletin(st *rts.SimThread, ch *vtime.Chan) any {
-	v := st.Proc().Recv(ch)
-	st.Proc().Send(ch, v, 0)
-	return v
-}
-
 func runServe(cfg serveConfig) ServePoint {
 	const nReplicas = 4
 	replicaHosts := [nReplicas]string{"onyx", "onyx", "sp2", "sp2"}
@@ -175,25 +166,17 @@ func runServe(cfg serveConfig) ServePoint {
 
 	// Registry on indy, aging members on the virtual clock.
 	regAddrCh := vtime.NewChan(w.sim, "serve-reg-addr")
-	{
-		h := w.tb.Host("indy")
-		g := rts.NewSimGroup(w.sim, h, 1)
-		g.Spawn("serve-registry", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint("serve-registry", st.Proc(), h))
-			adapter := poa.New(th, router, nil)
-			adapter.PollInterval = 2e-3
-			repo := registry.NewRepository()
-			repo.SetClock(st.Elapsed)
-			repo.SetMemberTTL(2 * cfg.hbPeriod)
-			repo.SetPickerSeed(cfg.seed)
-			if _, err := adapter.RegisterSingle(registry.RepositoryKey, registry.Iface(), repo); err != nil {
-				panic(err)
-			}
-			st.Proc().Send(regAddrCh, string(router.Addr()), 0)
-			adapter.ImplIsReady()
-		})
-	}
+	w.spawn(group{name: "serve-registry", host: "indy", procs: 1, poa: true}, func(r *rank) {
+		repo := registry.NewRepository()
+		repo.SetClock(r.th.Elapsed)
+		repo.SetMemberTTL(2 * cfg.hbPeriod)
+		repo.SetPickerSeed(cfg.seed)
+		if _, err := r.poa.RegisterSingle(registry.RepositoryKey, registry.Iface(), repo); err != nil {
+			panic(err)
+		}
+		r.post(regAddrCh, string(r.router.Addr()))
+		r.poa.ImplIsReady()
+	})
 
 	// Replicas and their heartbeat reporters. Only the replica serving
 	// endpoints are fault-wrapped: a kill silences the replica as its
@@ -203,55 +186,38 @@ func runServe(cfg serveConfig) ServePoint {
 	for i := 0; i < nReplicas; i++ {
 		i := i
 		name := fmt.Sprintf("serve-replica-%d", i)
-		h := w.tb.Host(replicaHosts[i])
 		infoChs[i] = vtime.NewChan(w.sim, name+"-info")
 
-		g := rts.NewSimGroup(w.sim, h, 1)
-		g.Spawn(name, func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			ep := fi.Wrap(w.fab.NewEndpoint(name, st.Proc(), h))
-			router := core.NewRouter(ep)
-			adapter := poa.New(th, router, nil)
-			adapter.PollInterval = 2e-3
+		w.spawn(group{name: name, host: replicaHosts[i], procs: 1, fault: fi, poa: true}, func(r *rank) {
 			if cfg.admitLimit > 0 {
-				adapter.SetAdmission(cfg.admitLimit, cfg.hintSec)
+				r.poa.SetAdmission(cfg.admitLimit, cfg.hintSec)
 			}
-			ior, err := adapter.RegisterSingle(name, iface, serveServant{work: cfg.workSec})
+			ior, err := r.poa.RegisterSingle(name, iface, serveServant{work: cfg.workSec})
 			if err != nil {
 				panic(err)
 			}
-			st.Proc().Send(infoChs[i], replicaInfo{ior: ior, adapter: adapter}, 0)
-			adapter.ImplIsReady()
+			r.post(infoChs[i], replicaInfo{ior: ior, adapter: r.poa})
+			r.poa.ImplIsReady()
 		})
 
-		hb := rts.NewSimGroup(w.sim, h, 1)
-		hb.Spawn(name+"-hb", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint(name+"-hb", st.Proc(), h))
-			orb := core.NewORB(router, th, nil)
-			info := bulletin(st, infoChs[i]).(replicaInfo)
-			regAddr := bulletin(st, regAddrCh).(string)
-			regc, err := registry.Open(orb, regAddr)
+		w.spawn(group{name: name + "-hb", host: replicaHosts[i], procs: 1, orb: true}, func(r *rank) {
+			info := readBoard[replicaInfo](r, infoChs[i])
+			regc, err := registry.Open(r.orb, readBoard[string](r, regAddrCh))
 			if err != nil {
 				panic(err)
 			}
 			regc.SetDeadline(cfg.hbPeriod)
+			load := func() registry.Digest {
+				p95, depth := info.adapter.LoadReport()
+				return registry.Digest{P95: p95, Depth: depth}
+			}
 			registered := regc.RegisterMember(serveGroupName, name, info.ior) == nil
 			for {
-				st.Sleep(cfg.hbPeriod)
+				r.th.Sleep(cfg.hbPeriod)
 				if hbStop[i].Load() {
 					return
 				}
-				if !registered {
-					if regc.RegisterMember(serveGroupName, name, info.ior) != nil {
-						continue
-					}
-					registered = true
-				}
-				p95, depth := info.adapter.LoadReport()
-				if known, err := regc.ReportLoad(serveGroupName, name, registry.Digest{P95: p95, Depth: depth}); err == nil && !known {
-					registered = false
-				}
+				registered = registry.Beat(regc, serveGroupName, name, info.ior, registered, load)
 			}
 		})
 	}
@@ -260,15 +226,9 @@ func runServe(cfg serveConfig) ServePoint {
 	// resolved through the registry.
 	for ci := 0; ci < cfg.clients; ci++ {
 		ci := ci
-		h := w.tb.Host("powerchallenge")
-		g := rts.NewSimGroup(w.sim, h, 1)
-		name := fmt.Sprintf("serve-client-%d", ci)
-		g.Spawn(name, func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint(name, st.Proc(), h))
-			orb := core.NewORB(router, th, nil)
-			regAddr := bulletin(st, regAddrCh).(string)
-			regc, err := registry.Open(orb, regAddr)
+		w.spawn(group{name: fmt.Sprintf("serve-client-%d", ci), host: "powerchallenge", procs: 1, orb: true}, func(r *rank) {
+			st, orb := r.th, r.orb
+			regc, err := registry.Open(orb, readBoard[string](r, regAddrCh))
 			if err != nil {
 				panic(err)
 			}
@@ -288,13 +248,13 @@ func runServe(cfg serveConfig) ServePoint {
 			ok, bad := 0, 0
 			for n := 0; n < cfg.perClient; n++ {
 				st.Sleep(cfg.thinkSec * (0.5 + rng.Float64()))
-				t0 := st.Proc().Now()
+				t0 := r.p.Now()
 				if _, err := gb.Invoke("work", []any{int32(n)}); err != nil {
 					bad++
 					continue
 				}
 				ok++
-				lat = append(lat, (st.Proc().Now() - t0).Seconds())
+				lat = append(lat, (r.p.Now() - t0).Seconds())
 			}
 			mu.Lock()
 			allLat = append(allLat, lat...)
@@ -309,69 +269,63 @@ func runServe(cfg serveConfig) ServePoint {
 	// Controller: chaos (kill one replica mid-run and time the registry
 	// dropping it), then orderly teardown once every client is done.
 	var infos [nReplicas]replicaInfo
-	{
-		h := w.tb.Host("powerchallenge")
-		g := rts.NewSimGroup(w.sim, h, 1)
-		g.Spawn("serve-controller", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint("serve-controller", st.Proc(), h))
-			orb := core.NewORB(router, th, nil)
-			regAddr := bulletin(st, regAddrCh).(string)
-			for i := 0; i < nReplicas; i++ {
-				infos[i] = bulletin(st, infoChs[i]).(replicaInfo)
-			}
-			regc, err := registry.Open(orb, regAddr)
-			if err != nil {
-				panic(err)
-			}
-			regc.SetDeadline(cfg.deadline)
+	w.spawn(group{name: "serve-controller", host: "powerchallenge", procs: 1, orb: true}, func(r *rank) {
+		st, orb := r.th, r.orb
+		regAddr := readBoard[string](r, regAddrCh)
+		for i := 0; i < nReplicas; i++ {
+			infos[i] = readBoard[replicaInfo](r, infoChs[i])
+		}
+		regc, err := registry.Open(orb, regAddr)
+		if err != nil {
+			panic(err)
+		}
+		regc.SetDeadline(cfg.deadline)
 
-			if cfg.killT > 0 {
-				const victim = 0
-				for st.Elapsed() < cfg.killT {
-					st.Sleep(5e-3)
+		if cfg.killT > 0 {
+			const victim = 0
+			for st.Elapsed() < cfg.killT {
+				st.Sleep(5e-3)
+			}
+			hbStop[victim].Store(true)
+			fi.Kill(nexus.Addr(infos[victim].ior.Addrs[0]))
+			killAt := st.Elapsed()
+			for {
+				st.Sleep(cfg.hbPeriod / 5)
+				iors, err := regc.ResolveGroup(serveGroupName)
+				if err != nil {
+					continue
 				}
-				hbStop[victim].Store(true)
-				fi.Kill(nexus.Addr(infos[victim].ior.Addrs[0]))
-				killAt := st.Elapsed()
-				for {
-					st.Sleep(cfg.hbPeriod / 5)
-					iors, err := regc.ResolveGroup(serveGroupName)
-					if err != nil {
-						continue
+				present := false
+				for _, m := range iors {
+					if m.Addrs[0] == infos[victim].ior.Addrs[0] {
+						present = true
 					}
-					present := false
-					for _, m := range iors {
-						if m.Addrs[0] == infos[victim].ior.Addrs[0] {
-							present = true
-						}
-					}
-					if !present {
-						dropSeconds = st.Elapsed() - killAt
-						break
-					}
+				}
+				if !present {
+					dropSeconds = st.Elapsed() - killAt
+					break
 				}
 			}
+		}
 
-			for doneClients.Load() < int32(cfg.clients) {
-				st.Sleep(10e-3)
-			}
-			for i := range hbStop {
-				hbStop[i].Store(true)
-			}
-			// Let the heartbeat loops wake, observe the flag and exit before
-			// their repository goes away.
-			st.Sleep(2 * cfg.hbPeriod)
-			for i := 0; i < nReplicas; i++ {
-				if b, err := orb.Bind(infos[i].ior, iface); err == nil {
-					_ = b.Shutdown("serve done")
-				}
-			}
-			if b, err := orb.Bind(registry.BootstrapIOR(regAddr), registry.Iface()); err == nil {
+		for doneClients.Load() < int32(cfg.clients) {
+			st.Sleep(10e-3)
+		}
+		for i := range hbStop {
+			hbStop[i].Store(true)
+		}
+		// Let the heartbeat loops wake, observe the flag and exit before
+		// their repository goes away.
+		st.Sleep(2 * cfg.hbPeriod)
+		for i := 0; i < nReplicas; i++ {
+			if b, err := orb.Bind(infos[i].ior, iface); err == nil {
 				_ = b.Shutdown("serve done")
 			}
-		})
-	}
+		}
+		if b, err := orb.Bind(registry.BootstrapIOR(regAddr), registry.Iface()); err == nil {
+			_ = b.Shutdown("serve done")
+		}
+	})
 
 	final := w.run()
 

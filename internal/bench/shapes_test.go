@@ -150,10 +150,20 @@ func TestAblationShapes(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := Figure4([]int{3})[0]
-	b := Figure4([]int{3})[0]
-	if a != b {
-		t.Fatalf("simulated experiment not deterministic: %+v vs %+v", a, b)
+	// Every runner built on the shared harness, across the configurations
+	// it folds together: each must agree with itself across two runs.
+	runs := map[string]func() any{
+		"figure2":     func() any { return Figure2([]int{400}) },
+		"figure4":     func() any { return Figure4([]int{3}) },
+		"figure5":     func() any { return Figure5([]int{4}) },
+		"oneway":      func() any { return AblationOneway(4) },
+		"commthreads": func() any { return AblationCommThreads(4) },
+		"nonblocking": func() any { return AblationNonBlocking(400) },
+	}
+	for name, run := range runs {
+		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s not deterministic: %+v vs %+v", name, a, b)
+		}
 	}
 	// The serve grid feeds measured replica load back into the registry's
 	// pick policy, so any wall-clock reading on that path shows up here.

@@ -1,16 +1,6 @@
 package bench
 
-import (
-	"sync"
-	"time"
-
-	"pardis/internal/core"
-	"pardis/internal/dist"
-	"pardis/internal/dseq"
-	"pardis/internal/nexus"
-	"pardis/internal/poa"
-	"pardis/internal/rts"
-)
+import "pardis/internal/core"
 
 // The stream experiments compare the staged segment sender (each move's
 // whole payload encoded into one buffer before its frame is sent) against
@@ -62,7 +52,7 @@ func Stream(payloads []int, iters int) []StreamPoint {
 // staged, 0 auto, > 0 pinned bytes), averaged over iters invocations after
 // one warm-up. The CI stream gate calls this directly.
 func StreamMeasure(payloadBytes, chunkBytes, iters int) StreamPoint {
-	sec, _, peak, frames := streamTime(payloadBytes/8, iters, chunkBytes)
+	res := scaleTime(payloadBytes/8, iters, scaleConfig{servers: 4, chunk: chunkBytes})
 	mode := "streamed"
 	chunk := chunkBytes
 	if chunkBytes < 0 {
@@ -72,10 +62,10 @@ func StreamMeasure(payloadBytes, chunkBytes, iters int) StreamPoint {
 		Mode:         mode,
 		PayloadBytes: payloadBytes,
 		ChunkBytes:   chunk,
-		Seconds:      sec,
-		MBPerSec:     2 * float64(payloadBytes) / sec / (1 << 20),
-		PeakBuffer:   peak,
-		ChunkFrames:  frames / uint64(iters),
+		Seconds:      res.sec,
+		MBPerSec:     2 * float64(payloadBytes) / res.sec / (1 << 20),
+		PeakBuffer:   res.peak,
+		ChunkFrames:  res.frames / uint64(iters),
 	}
 }
 
@@ -86,70 +76,5 @@ func StreamMeasure(payloadBytes, chunkBytes, iters int) StreamPoint {
 // individual round trips bimodal, which averaging mixes in but a minimum
 // over enough probes reliably strips away.
 func StreamMinLatency(payloadBytes, chunkBytes, probes int) float64 {
-	_, best, _, _ := streamTime(payloadBytes/8, probes, chunkBytes)
-	return best
-}
-
-// streamTime runs iters SPMD "scale" invocations shipping an n-double
-// sequence out and back between one client and four server threads with
-// the given chunk pin on both senders, returning seconds per invocation,
-// the peak encoder residency, and the total ArgStream frames sent.
-func streamTime(n, iters, chunk int) (sec, best float64, peak int64, frames uint64) {
-	const S = 4
-	fab := nexus.NewInproc()
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rts.NewChanGroup("stream-srv", S).Run(func(th rts.Thread) {
-			r := core.NewRouter(fab.NewEndpoint("stream-srv"))
-			p := poa.New(th, r, nil)
-			p.PollInterval = 20e-6
-			p.StreamChunkBytes = chunk
-			ior, err := p.RegisterSPMD("stream-1", scaleBenchIface(), scaleBenchServant{})
-			if err != nil {
-				panic(err)
-			}
-			if th.Rank() == 0 {
-				iorCh <- ior
-			}
-			p.ImplIsReady()
-		})
-	}()
-	ior := <-iorCh
-	rts.NewChanGroup("stream-cli", 1).Run(func(th rts.Thread) {
-		r := core.NewRouter(fab.NewEndpoint("stream-cli"))
-		orb := core.NewORB(r, th, nil)
-		orb.StreamChunkBytes = chunk
-		b, err := orb.SPMDBind(ior, scaleBenchIface())
-		if err != nil {
-			panic(err)
-		}
-		x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
-		y := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
-		// One warm-up primes schedule caches and encoder pools, then the
-		// watermark and counter isolate the measured iterations.
-		if _, err := b.Invoke("scale", []any{2.0, x, y}); err != nil {
-			panic(err)
-		}
-		core.ResetStreamPeak()
-		before := core.StreamChunksTotal()
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			t0 := time.Now()
-			if _, err := b.Invoke("scale", []any{2.0, x, y}); err != nil {
-				panic(err)
-			}
-			if d := time.Since(t0).Seconds(); i == 0 || d < best {
-				best = d
-			}
-		}
-		sec = time.Since(start).Seconds() / float64(iters)
-		peak = core.StreamPeakBytes()
-		frames = core.StreamChunksTotal() - before
-		b.Shutdown("bench done")
-	})
-	wg.Wait()
-	return sec, best, peak, frames
+	return scaleTime(payloadBytes/8, probes, scaleConfig{servers: 4, chunk: chunkBytes}).best
 }

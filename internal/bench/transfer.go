@@ -85,8 +85,8 @@ func TransferScheduleCache(n, p, iters int) []TransferPoint {
 // thread, which have nothing to parallelize).
 func TransferFanout(n, iters int) []TransferPoint {
 	return []TransferPoint{
-		{Label: "fanout-serial", Seconds: fanoutTime(n, iters, 1, 8)},
-		{Label: "fanout-4-workers", Seconds: fanoutTime(n, iters, 4, 8)},
+		{Label: "fanout-serial", Seconds: scaleTime(n, iters, scaleConfig{servers: 8, workers: 1}).sec},
+		{Label: "fanout-4-workers", Seconds: scaleTime(n, iters, scaleConfig{servers: 8, workers: 4}).sec},
 	}
 }
 
@@ -96,62 +96,74 @@ func TransferFanout(n, iters int) []TransferPoint {
 // the stub's trace ID and nesting stub → ORB → pgiop → POA → rts. Run
 // under pardis-bench -trace to capture that timeline.
 func TransferSPMD(n, iters int) []TransferPoint {
-	sec := fanoutTime(n, iters, 1, 4)
+	sec := scaleTime(n, iters, scaleConfig{servers: 4, workers: 1}).sec
 	return []TransferPoint{
 		{Label: "spmd-4rank-invoke", Seconds: sec, PerSec: 1 / sec},
 	}
 }
 
-func fanoutTime(n, iters, workers, S int) float64 {
-	const C = 1
+// scaleConfig shapes one scale run: the server's thread count and the
+// transfer knobs pinned on both the client ORB and the server POA (zero
+// leaves a knob at its default).
+type scaleConfig struct {
+	servers int
+	workers int // TransferWorkers
+	chunk   int // StreamChunkBytes
+}
+
+// scaleResult is one scale run: seconds per invocation and the fastest
+// single invocation, the peak payload-encoder residency, and the ArgStream
+// frames sent, all over the measured invocations.
+type scaleResult struct {
+	sec, best float64
+	peak      int64
+	frames    uint64
+}
+
+// scaleTime runs iters SPMD "scale" invocations shipping an n-double
+// sequence out and back between one client thread and cfg.servers server
+// threads on the in-process fabric, after one warm-up invocation that
+// primes schedule caches and encoder pools.
+func scaleTime(n, iters int, cfg scaleConfig) scaleResult {
 	fab := nexus.NewInproc()
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rts.NewChanGroup("fan-srv", S).Run(func(th rts.Thread) {
-			r := core.NewRouter(fab.NewEndpoint("fan-srv"))
-			p := poa.New(th, r, nil)
-			p.PollInterval = 20e-6
-			p.TransferWorkers = workers
-			ior, err := p.RegisterSPMD("fan-1", scaleBenchIface(), scaleBenchServant{})
-			if err != nil {
-				panic(err)
-			}
-			if th.Rank() == 0 {
-				iorCh <- ior
-			}
-			p.ImplIsReady()
+	ior, stop := startServer(cfg.servers, 20e-6, func() nexus.Endpoint { return fab.NewEndpoint("scale-srv") },
+		fab.NewEndpoint("scale-stop"), func(p *poa.POA) (core.IOR, error) {
+			p.TransferWorkers = cfg.workers
+			p.StreamChunkBytes = cfg.chunk
+			return p.RegisterSPMD("scale-1", scaleBenchIface(), scaleBenchServant{})
 		})
-	}()
-	ior := <-iorCh
-	var elapsed float64
-	rts.NewChanGroup("fan-cli", C).Run(func(th rts.Thread) {
-		r := core.NewRouter(fab.NewEndpoint("fan-cli"))
-		orb := core.NewORB(r, th, nil)
-		orb.TransferWorkers = workers
+	defer stop()
+	var res scaleResult
+	rts.NewChanGroup("scale-cli", 1).Run(func(th rts.Thread) {
+		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("scale-cli")), th, nil)
+		orb.TransferWorkers = cfg.workers
+		orb.StreamChunkBytes = cfg.chunk
 		b, err := orb.SPMDBind(ior, scaleBenchIface())
 		if err != nil {
 			panic(err)
 		}
 		x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 		y := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
-		th.Barrier()
+		if _, err := b.Invoke("scale", []any{2.0, x, y}); err != nil {
+			panic(err)
+		}
+		core.ResetStreamPeak()
+		before := core.StreamChunksTotal()
 		start := time.Now()
 		for i := 0; i < iters; i++ {
+			t0 := time.Now()
 			if _, err := b.Invoke("scale", []any{2.0, x, y}); err != nil {
 				panic(err)
 			}
+			if d := time.Since(t0).Seconds(); i == 0 || d < res.best {
+				res.best = d
+			}
 		}
-		th.Barrier()
-		if th.Rank() == 0 {
-			elapsed = time.Since(start).Seconds() / float64(iters)
-			b.Shutdown("bench done")
-		}
+		res.sec = time.Since(start).Seconds() / float64(iters)
+		res.peak = core.StreamPeakBytes()
+		res.frames = core.StreamChunksTotal() - before
 	})
-	wg.Wait()
-	return elapsed
+	return res
 }
 
 func scaleBenchIface() *core.InterfaceDef {
@@ -195,24 +207,13 @@ func TransferSingleDispatch(clients, calls int) []TransferPoint {
 
 func singleDispatchTime(clients, calls, workers int) float64 {
 	fab := nexus.NewInproc()
-	iorCh := make(chan core.IOR, 1)
-	var srvWG sync.WaitGroup
-	srvWG.Add(1)
-	go func() {
-		defer srvWG.Done()
-		th := rts.NewChanGroup("disp-srv", 1).Thread(0)
-		r := core.NewRouter(fab.NewEndpoint("disp-srv"))
-		p := poa.New(th, r, nil)
-		p.PollInterval = 20e-6
-		ior, err := p.RegisterSingle("disp-1", workIface(), workServant{})
-		if err != nil {
-			panic(err)
-		}
-		p.SetDispatchWorkers(workers, workers)
-		iorCh <- ior
-		p.ImplIsReady()
-	}()
-	ior := <-iorCh
+	ior, stop := startServer(1, 20e-6, func() nexus.Endpoint { return fab.NewEndpoint("disp-srv") },
+		fab.NewEndpoint("disp-stop"), func(p *poa.POA) (core.IOR, error) {
+			ior, err := p.RegisterSingle("disp-1", workIface(), workServant{})
+			p.SetDispatchWorkers(workers, workers)
+			return ior, err
+		})
+	defer stop()
 	start := time.Now()
 	var cliWG sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -232,17 +233,7 @@ func singleDispatchTime(clients, calls, workers int) float64 {
 		}()
 	}
 	cliWG.Wait()
-	elapsed := time.Since(start).Seconds()
-	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("disp-stop")), nil, nil)
-	b, err := orb.Bind(ior, workIface())
-	if err != nil {
-		panic(err)
-	}
-	if err := b.Shutdown("bench done"); err != nil {
-		panic(err)
-	}
-	srvWG.Wait()
-	return elapsed
+	return time.Since(start).Seconds()
 }
 
 func workIface() *core.InterfaceDef {

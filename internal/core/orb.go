@@ -930,23 +930,10 @@ func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) {
 	if holder == nil {
 		return
 	}
-	runs, n, err := checkRuns(a.Runs, holder, o.runScratch[:0])
-	if err != nil {
-		p.fail(o, a.ReqID, err)
-		return
-	}
-	// Validate the run total against the remaining need before decoding,
-	// so an oversized segment never writes past-share elements.
-	if p.got[param]+n > p.need[param] {
-		p.fail(o, a.ReqID, fmt.Errorf("core: parameter %d received %d of %d elements", param, p.got[param]+n, p.need[param]))
-		return
-	}
-	dec := cdr.GetDecoder(a.Payload)
-	err = holder.DecodeRuns(dec, runs)
-	dec.Release()
+	n, runs, err := ApplySegment(holder, a, p.need[param]-p.got[param], o.runScratch)
 	o.runScratch = runs[:0]
 	if err != nil {
-		p.fail(o, a.ReqID, fmt.Errorf("core: corrupt out segment for parameter %d: %w", param, err))
+		p.fail(o, a.ReqID, fmt.Errorf("core: out parameter %d: %w", param, err))
 		return
 	}
 	p.got[param] += n
@@ -956,19 +943,33 @@ func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) {
 	p.gotBy[int(a.Sender)] += n
 }
 
-// checkRuns validates wire runs against the holder's local storage size,
-// appending the converted runs to the caller's scratch slice.
-func checkRuns(wr []pgiop.Run, holder dseq.Distributed, runs []dist.Run) ([]dist.Run, int, error) {
-	n := 0
+// ApplySegment validates one incoming distributed-argument segment and
+// decodes it into the holder's local storage. Every run must lie inside
+// local storage and the runs must total at most remaining — the elements
+// still owed — so a hostile or overflowing segment is rejected before any
+// of its payload is written. runs is scratch for the decoded run list; the
+// possibly grown slice is returned for reuse.
+func ApplySegment(holder dseq.Distributed, a *pgiop.ArgStream, remaining int, runs []dist.Run) (int, []dist.Run, error) {
 	localLen := holder.LocalLen()
-	for _, r := range wr {
+	runs = runs[:0]
+	n := 0
+	for _, r := range a.Runs {
 		if r.Len < 0 || r.DstOff < 0 || int(r.DstOff)+int(r.Len) > localLen {
-			return nil, 0, fmt.Errorf("core: segment run [%d+%d] exceeds local storage %d", r.DstOff, r.Len, localLen)
+			return 0, runs, fmt.Errorf("segment run [%d+%d] exceeds local storage %d", r.DstOff, r.Len, localLen)
 		}
 		runs = append(runs, dist.Run{Global: int(r.Global), Len: int(r.Len), DstOff: int(r.DstOff)})
 		n += int(r.Len)
 	}
-	return runs, n, nil
+	if n > remaining {
+		return 0, runs, fmt.Errorf("segment of %d elements exceeds the %d still expected", n, remaining)
+	}
+	d := cdr.GetDecoder(a.Payload)
+	err := holder.DecodeRuns(d, runs)
+	d.Release()
+	if err != nil {
+		return 0, runs, fmt.Errorf("corrupt segment payload: %w", err)
+	}
+	return n, runs, nil
 }
 
 func (p *pendingReq) fail(o *ORB, reqID uint32, err error) {

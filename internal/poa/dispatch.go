@@ -533,7 +533,8 @@ func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder 
 		}
 		a := p.segs[k][0]
 		p.segs[k] = p.segs[k][1:]
-		n, err := p.applySegment(holder, a, need-got)
+		n, runs, err := core.ApplySegment(holder, a, need-got, p.runScratch)
+		p.runScratch = runs[:0]
 		if err != nil {
 			return fmt.Errorf("argument %d: %v", param, err)
 		}
@@ -544,35 +545,6 @@ func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder 
 	}
 	delete(p.segs, k)
 	return nil
-}
-
-// applySegment validates one incoming segment and decodes it into the
-// holder. The run list is summed and bounds-checked — including against the
-// number of elements still owed, so an overflowing stream is rejected
-// *before* any of its payload is written — and decoded runs reuse the POA's
-// scratch slice across segments.
-func (p *POA) applySegment(holder dseq.Distributed, a *pgiop.ArgStream, remaining int) (int, error) {
-	localLen := holder.LocalLen()
-	runs := p.runScratch[:0]
-	n := 0
-	for _, r := range a.Runs {
-		if r.Len < 0 || r.DstOff < 0 || int(r.DstOff)+int(r.Len) > localLen {
-			return 0, fmt.Errorf("segment run [%d+%d] exceeds local storage %d", r.DstOff, r.Len, localLen)
-		}
-		runs = append(runs, dist.Run{Global: int(r.Global), Len: int(r.Len), DstOff: int(r.DstOff)})
-		n += int(r.Len)
-	}
-	p.runScratch = runs[:0]
-	if n > remaining {
-		return 0, fmt.Errorf("segment of %d elements exceeds the %d still expected", n, remaining)
-	}
-	d := cdr.GetDecoder(a.Payload)
-	err := holder.DecodeRuns(d, runs)
-	d.Release()
-	if err != nil {
-		return 0, fmt.Errorf("corrupt segment payload: %v", err)
-	}
-	return n, nil
 }
 
 // encodeResults marshals the inline reply body (return value + non-

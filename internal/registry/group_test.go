@@ -110,14 +110,16 @@ func TestGroupExpiryWithinTwoHeartbeats(t *testing.T) {
 		}
 	}
 
-	// The silent member's next report finds itself unknown and re-registers,
-	// after which it resolves again — the heartbeat recovery contract.
-	known, err := c.ReportLoad("svc", "m0", registry.Digest{P95: 0.001})
+	// The silent member's next report finds itself unknown, so its next
+	// heartbeat tick re-registers it, after which it resolves again — the
+	// heartbeat recovery contract.
+	snap := func() registry.Digest { return registry.Digest{P95: 0.001} }
+	known, err := c.ReportLoad("svc", "m0", snap())
 	if err != nil || known {
 		t.Fatalf("report for expired member: known=%v err=%v, want false,nil", known, err)
 	}
-	if err := c.RegisterMember("svc", "m0", memberIOR("m0", "")); err != nil {
-		t.Fatal(err)
+	if !registry.Beat(c, "svc", "m0", memberIOR("m0", ""), known, snap) {
+		t.Fatal("re-registering heartbeat tick left the member unregistered")
 	}
 	if members, err = c.ResolveGroup("svc"); err != nil || len(members) != 4 {
 		t.Fatalf("after re-register: %d members, %v; want 4", len(members), err)

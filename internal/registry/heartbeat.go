@@ -9,7 +9,7 @@ import (
 // Heartbeat is a background reporter pushing one replica's load snapshots
 // to a repository on a fixed period. It is the real-fabric helper (its loop
 // sleeps wall time); simulation programs pace their own vtime loops and
-// call Client.ReportLoad directly.
+// call Beat on every tick.
 type Heartbeat struct {
 	stop chan struct{}
 	done chan struct{}
@@ -42,19 +42,23 @@ func StartHeartbeat(c *Client, name, memberID string, ior core.IOR, period float
 				return
 			case <-tick.C:
 			}
-			if !registered {
-				if err := c.RegisterMember(name, memberID, ior); err != nil {
-					continue
-				}
-				registered = true
-			}
-			known, err := c.ReportLoad(name, memberID, snap())
-			if err == nil && !known {
-				registered = false
-			}
+			registered = Beat(c, name, memberID, ior, registered, snap)
 		}
 	}()
 	return h
+}
+
+// Beat is one heartbeat tick: it registers the member first unless
+// registered, then reports snap(), and returns whether the member is still
+// registered as far as the next tick should assume — false after a failed
+// registration or a report answered with "unknown member" (the repository
+// expired us), so the next tick re-registers.
+func Beat(c *Client, name, memberID string, ior core.IOR, registered bool, snap func() Digest) bool {
+	if !registered && c.RegisterMember(name, memberID, ior) != nil {
+		return false
+	}
+	known, err := c.ReportLoad(name, memberID, snap())
+	return err != nil || known
 }
 
 // Stop ends the reporting loop and waits for it to exit. The member is left

@@ -26,7 +26,7 @@ func measureRoundTrip() testing.BenchmarkResult {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bind, stop := orbPair(b, cep, sep)
+		bind, stop := orbPair(b, cep, sep, nil)
 		defer stop()
 		benchRoundTrip(b, bind, 64)
 	})
